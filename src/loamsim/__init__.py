@@ -12,11 +12,8 @@ __version__ = "0.1.0"
 
 from .channel import (
     ChannelState,
-    draw_complex_noise,
     effective_min_distance,
-    observe,
     snr_db_to_sigma2,
-    transformed_magnitude,
 )
 from .constellations import (
     Constellation,
@@ -54,7 +51,6 @@ from .simulate import (
     ThresholdRatioReference,
     ZeroReference,
     run_sweep,
-    run_trial,
     ser_points_to_csv,
     ser_points_to_json,
     sweep_config_from_dict,
@@ -64,9 +60,6 @@ from .simulate import (
 __all__ = [
     "__version__",
     "ChannelState",
-    "transformed_magnitude",
-    "observe",
-    "draw_complex_noise",
     "snr_db_to_sigma2",
     "effective_min_distance",
     "Regime",
@@ -101,7 +94,6 @@ __all__ = [
     "SweepConfig",
     "SerPoint",
     "ConfigError",
-    "run_trial",
     "run_sweep",
     "sweep_config_from_dict",
     "theoretical_ser_asymptotic",

@@ -16,9 +16,6 @@ import numpy as np
 
 __all__ = [
     "ChannelState",
-    "transformed_magnitude",
-    "observe",
-    "draw_complex_noise",
     "snr_db_to_sigma2",
     "effective_min_distance",
 ]
@@ -63,38 +60,6 @@ class ChannelState:
             raise ValueError(f"order must be >= 2, got {self.order}")
         if not math.isfinite(self.sigma2) or self.sigma2 < 0.0:
             raise ValueError(f"sigma2 must be >= 0, got {self.sigma2}")
-
-
-def transformed_magnitude(x, h, b) -> float:
-    """Noiseless receiver amplitude |h*x + b| for a constellation point x."""
-    x = _as_finite_complex(x, "x")
-    h = _as_finite_complex(h, "h")
-    b = _as_finite_complex(b, "b")
-    return abs(h * x + b)
-
-
-def observe(x, state: ChannelState, noise) -> float:
-    """Detected amplitude |h*x + b + noise| for one noise realization.
-
-    The caller draws the noise sample (see draw_complex_noise); this function
-    itself is deterministic.
-    """
-    x = _as_finite_complex(x, "x")
-    noise = _as_finite_complex(noise, "noise")
-    return abs(state.h * x + state.b + noise)
-
-
-def draw_complex_noise(rng: np.random.Generator, sigma2: float) -> complex:
-    """Draw one circular complex Gaussian sample with total variance sigma2.
-
-    Real and imaginary parts are independent zero-mean Gaussians with
-    variance sigma2/2 each.
-    """
-    sigma2 = float(sigma2)
-    if not math.isfinite(sigma2) or sigma2 < 0.0:
-        raise ValueError(f"sigma2 must be >= 0, got {sigma2}")
-    scale = math.sqrt(sigma2 / 2.0)
-    return complex(rng.normal(0.0, scale), rng.normal(0.0, scale))
 
 
 def snr_db_to_sigma2(snr_db: float, state: ChannelState) -> float:

@@ -16,13 +16,10 @@ import numpy as np
 from . import __version__
 from .channel import ChannelState, effective_min_distance
 from .constellations import (
-    InfeasibleDesignError,
+    SCHEMES,
     constellation_to_json,
     design_loam,
     design_to_json,
-    gen_pam,
-    gen_psk,
-    gen_qam,
     mean_power,
     strong_reference_threshold,
 )
@@ -51,21 +48,26 @@ def _cmd_design(args, parser: argparse.ArgumentParser) -> int:
     b = complex(args.b_re, args.b_im)
     if args.scheme == "qam" and math.isqrt(args.order) ** 2 != args.order:
         parser.error(f"qam requires a perfect-square order, got {args.order}")
+    if not all(map(math.isfinite, (args.h_re, args.h_im, args.b_re, args.b_im, args.power))):
+        print("design failed: h, b and power must be finite", file=sys.stderr)
+        return 1
+    gen = SCHEMES[args.scheme]
     try:
-        if args.scheme == "loam":
+        if gen is None:
             state = ChannelState(h=h, b=b, power=args.power, order=args.order)
             text = design_to_json(design_loam(state))
         else:
-            gen = {"pam": gen_pam, "qam": gen_qam, "psk": gen_psk}[args.scheme]
             text = constellation_to_json(gen(args.power, args.order), h, b)
-    except (ValueError, InfeasibleDesignError) as exc:
+    except ValueError as exc:  # includes InfeasibleDesignError
         print(f"design failed: {exc}", file=sys.stderr)
         return 1
     _write_artifact(text, args.out)
     return 0
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
+    if args.threads is not None and args.threads < 1:
+        parser.error(f"--threads must be >= 1, got {args.threads}")
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -77,7 +79,6 @@ def _cmd_sweep(args) -> int:
         return 1
     try:
         config = sweep_config_from_dict(doc)
-        config.validate()
         points = run_sweep(config, workers=args.threads)
     except ConfigError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
@@ -177,9 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_design.add_argument("--b-im", type=float, default=0.0)
     p_design.add_argument("--power", type=float, required=True)
     p_design.add_argument("--order", type=int, required=True)
-    p_design.add_argument(
-        "--scheme", choices=("loam", "pam", "qam", "psk"), default="loam"
-    )
+    p_design.add_argument("--scheme", choices=tuple(SCHEMES), default="loam")
     p_design.add_argument("--out", default=None, help="write JSON here instead of stdout")
 
     p_sweep = sub.add_parser("sweep", help="run a Monte-Carlo SER sweep from a JSON config")
@@ -187,7 +186,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", default=None, help="write CSV here instead of stdout")
     p_sweep.add_argument("--json-out", default=None, help="also write a JSON mirror here")
     p_sweep.add_argument(
-        "--threads", type=int, default=None, help="cap worker threads (default: all cores)"
+        "--threads",
+        type=int,
+        default=None,
+        help="worker threads, >= 1; output does not depend on it "
+        "(default: one per CPU this process may run on)",
     )
 
     p_verify = sub.add_parser("verify", help="run brute-force design verification")
@@ -205,7 +208,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "design":
         return _cmd_design(args, parser)
     if args.command == "sweep":
-        return _cmd_sweep(args)
+        return _cmd_sweep(args, parser)
     return _cmd_verify(args)
 
 

@@ -40,6 +40,7 @@ __all__ = [
     "gen_pam",
     "gen_psk",
     "gen_qam",
+    "SCHEMES",
     "mean_power",
     "design_to_json",
     "constellation_to_json",
@@ -110,30 +111,66 @@ def strong_reference_threshold(power: float, order: int, h_mag: float) -> float:
     return 3.0 * power * (order - 1) * h_mag**2 / (order + 1)
 
 
+def _strong_reference(b_mag, h_mag, power: float, order: int):
+    """Strong/weak regime test on |b|^2; boundary equality counts as strong.
+
+    Takes Python floats or, elementwise, NumPy arrays of magnitudes.
+    """
+    threshold = strong_reference_threshold(power, order, h_mag)
+    return b_mag**2 >= threshold * (1.0 - _BOUNDARY_RTOL)
+
+
 def classify_regime(state: ChannelState) -> Regime:
     """Classify the scenario; boundary equality counts as strong."""
     b_mag = abs(state.b)
     h_mag = abs(state.h)
     if b_mag <= _LO_FREE_RTOL * math.sqrt(state.power) * h_mag:
         return Regime.LO_FREE
-    threshold = strong_reference_threshold(state.power, state.order, h_mag)
-    if b_mag**2 >= threshold * (1.0 - _BOUNDARY_RTOL):
+    if _strong_reference(b_mag, h_mag, state.power, state.order):
         return Regime.STRONG_REFERENCE
     return Regime.WEAK_REFERENCE
 
 
-def spacing_strong(power: float, order: int) -> float:
-    """Spacing of the origin-centered design: sqrt(12P/(M^2-1))."""
+def _check_budget(power: float, order: int) -> None:
     if power <= 0:
         raise ValueError("power must be positive")
     if order < 2:
         raise ValueError("order must be >= 2")
+
+
+def spacing_strong(power: float, order: int) -> float:
+    """Spacing of the origin-centered design: sqrt(12P/(M^2-1))."""
+    _check_budget(power, order)
     return math.sqrt(12.0 * power / (order**2 - 1))
 
 
-def _anchored_quadratic(order: int):
-    # (1/M) sum (c +- i*d)^2 = P  ->  A*d^2 +- B*d + (c^2 - P) = 0
-    return (order - 1) * (2 * order - 1) / 6.0
+def _spacing_root(c_mag, power: float, order: int, sign: float = 1.0, sqrt=math.sqrt):
+    """Largest root d of (1/M) * sum_{i=0}^{M-1} (c_mag - sign*i*d)^2 = P.
+
+    sign = 1 walks from the anchor toward the origin, sign = -1 away from it.
+    With sqrt=np.sqrt it works elementwise on an array of c_mag, whose
+    discriminants the caller guarantees to be non-negative.
+    """
+    a = (order - 1) * (2 * order - 1) / 6.0
+    lin = sign * c_mag * (order - 1)
+    disc = lin**2 - 4.0 * a * (c_mag**2 - power)
+    return (lin + sqrt(disc)) / (2.0 * a)
+
+
+def _anchored_spacing(c_mag: float, power: float, order: int, sign: float) -> float:
+    _check_budget(power, order)
+    c_mag = float(c_mag)
+    if c_mag < 0:
+        raise ValueError("c_mag must be >= 0")
+    try:
+        d = _spacing_root(c_mag, power, order, sign)
+    except ValueError:  # math.sqrt of a negative discriminant
+        d = 0.0
+    if d <= 0:
+        raise InfeasibleDesignError(
+            f"no positive spacing for anchor {c_mag} under power {power}"
+        )
+    return d
 
 
 def spacing_anchor(c_mag: float, power: float, order: int) -> float:
@@ -143,26 +180,7 @@ def spacing_anchor(c_mag: float, power: float, order: int) -> float:
     of a design anchored at distance c_mag from the origin and extending away
     from it, saturating the power budget.
     """
-    if power <= 0:
-        raise ValueError("power must be positive")
-    if order < 2:
-        raise ValueError("order must be >= 2")
-    c_mag = float(c_mag)
-    if c_mag < 0:
-        raise ValueError("c_mag must be >= 0")
-    a = _anchored_quadratic(order)
-    lin = c_mag * (order - 1)
-    disc = lin**2 - 4.0 * a * (c_mag**2 - power)
-    if disc < 0:
-        raise InfeasibleDesignError(
-            f"no positive spacing for anchor {c_mag} under power {power}"
-        )
-    d = (-lin + math.sqrt(disc)) / (2.0 * a)
-    if d <= 0:
-        raise InfeasibleDesignError(
-            f"no positive spacing for anchor {c_mag} under power {power}"
-        )
-    return d
+    return _anchored_spacing(c_mag, power, order, -1.0)
 
 
 def spacing_weak(c_mag: float, power: float, order: int) -> float:
@@ -174,26 +192,7 @@ def spacing_weak(c_mag: float, power: float, order: int) -> float:
     than walking outward, so this root is never smaller than spacing_anchor
     and the two coincide at c_mag = 0.
     """
-    if power <= 0:
-        raise ValueError("power must be positive")
-    if order < 2:
-        raise ValueError("order must be >= 2")
-    c_mag = float(c_mag)
-    if c_mag < 0:
-        raise ValueError("c_mag must be >= 0")
-    a = _anchored_quadratic(order)
-    lin = c_mag * (order - 1)
-    disc = lin**2 - 4.0 * a * (c_mag**2 - power)
-    if disc < 0:
-        raise InfeasibleDesignError(
-            f"no feasible spacing for anchor {c_mag} under power {power}"
-        )
-    d = (lin + math.sqrt(disc)) / (2.0 * a)
-    if d <= 0:
-        raise InfeasibleDesignError(
-            f"no positive spacing for anchor {c_mag} under power {power}"
-        )
-    return d
+    return _anchored_spacing(c_mag, power, order, 1.0)
 
 
 def design_loam(state: ChannelState) -> DesignOutcome:
@@ -211,7 +210,7 @@ def design_loam(state: ChannelState) -> DesignOutcome:
         # Unipolar ramp from zero along the positive real axis (any phase is
         # equivalent by rotation; 0 is the convention).
         ray_phase = 0.0
-        d = spacing_anchor(0.0, power, order)
+        d = spacing_weak(0.0, power, order)
         rotated = idx * d
     else:
         null_point = -state.b / state.h
@@ -249,10 +248,7 @@ def gen_pam(power: float, order: int) -> Constellation:
 
 def gen_psk(power: float, order: int) -> Constellation:
     """Equal-energy phase shift keying: sqrt(P) * exp(2j*pi*k/M)."""
-    if power <= 0:
-        raise ValueError("power must be positive")
-    if order < 2:
-        raise ValueError("order must be >= 2")
+    _check_budget(power, order)
     k = np.arange(order)
     points = math.sqrt(power) * np.exp(2j * math.pi * k / order)
     return Constellation(points=points, scheme="PSK", order=order)
@@ -270,6 +266,11 @@ def gen_qam(power: float, order: int) -> Constellation:
     points = grid.ravel()
     points = points * math.sqrt(power / mean_power(points))
     return Constellation(points=points, scheme="QAM", order=order)
+
+
+# Scheme name -> generator of its fixed alphabet, gen(power, order). LOAM has
+# no fixed alphabet: design_loam redesigns it for every channel.
+SCHEMES = {"loam": None, "pam": gen_pam, "qam": gen_qam, "psk": gen_psk}
 
 
 # --------------------------------------------------------------------------

@@ -12,23 +12,26 @@ realization (the transmitter knows h and b); baseline alphabets stay fixed.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from .channel import ChannelState, draw_complex_noise, observe, snr_db_to_sigma2
+from .channel import ChannelState, snr_db_to_sigma2
 from .constellations import (
+    SCHEMES,
+    _fmt,
+    _spacing_root,
+    _strong_reference,
     design_loam,
-    gen_pam,
-    gen_psk,
-    gen_qam,
     spacing_strong,
     strong_reference_threshold,
 )
-from .detector import build_detector, detect
+from .detector import build_detector
 
 __all__ = [
     "FixedChannel",
@@ -39,16 +42,12 @@ __all__ = [
     "SweepConfig",
     "SerPoint",
     "ConfigError",
-    "SCHEMES",
-    "run_trial",
     "run_sweep",
     "sweep_config_from_dict",
     "theoretical_ser_asymptotic",
     "ser_points_to_csv",
     "ser_points_to_json",
 ]
-
-SCHEMES = ("loam", "pam", "qam", "psk")
 
 _BLOCK = 16384  # trials per random-stream block; fixed so results never
 # depend on how blocks are assigned to workers
@@ -69,6 +68,8 @@ class RayleighPerTrial:
 @dataclass(frozen=True)
 class ZeroReference:
     """No reference signal (b = 0)."""
+
+    b: ClassVar[complex] = 0j
 
 
 @dataclass(frozen=True)
@@ -97,6 +98,56 @@ class ConfigError(ValueError):
         self.path = path
 
 
+def _real(x) -> bool:
+    """An int or float; bools (JSON true/false) are not numbers."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _number(x) -> bool:
+    """A finite int or float, the test validate applies to every number."""
+    return _real(x) and (isinstance(x, int) or math.isfinite(x))
+
+
+def _integer(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _finite_complex(z) -> bool:
+    z = complex(z)
+    return _number(z.real) and _number(z.imag)
+
+
+# Config readers check types only; validate rejects non-finite values under
+# the same key path.
+def _read_number(value, path: str) -> float:
+    if not _real(value):
+        raise ConfigError(path, f"must be a number, got {value!r}")
+    return float(value)
+
+
+def _read_pair(value, path: str) -> complex:
+    if not (isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_real, value))):
+        raise ConfigError(path, f"must be a [re, im] pair of numbers, got {value!r}")
+    return complex(value[0], value[1])
+
+
+# Config name of every channel and reference mode. The fields of a mode's
+# dataclass are its config keys besides "mode"; _FIELDS reads and checks each.
+_MODES = {
+    "channel_mode": {"fixed_channel": FixedChannel, "rayleigh_per_trial": RayleighPerTrial},
+    "reference_mode": {
+        "zero": ZeroReference,
+        "fixed_value": FixedReference,
+        "threshold_ratio": ThresholdRatioReference,
+    },
+}
+_FIELDS = {  # field: (config reader, check, requirement)
+    "h": (_read_pair, lambda h: _finite_complex(h) and h != 0, "finite and nonzero"),
+    "b": (_read_pair, _finite_complex, "finite"),
+    "ratio": (_read_number, lambda r: _number(r) and r >= 0, "a finite number >= 0"),
+}
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     schemes: tuple
@@ -114,11 +165,11 @@ class SweepConfig:
 
     def validate(self) -> None:
         for i, scheme in enumerate(self.schemes):
-            if scheme not in SCHEMES:
+            if not isinstance(scheme, str) or scheme not in SCHEMES:
                 raise ConfigError(f"schemes[{i}]", f"unknown scheme {scheme!r}")
         if not self.schemes:
             raise ConfigError("schemes", "must list at least one scheme")
-        if not isinstance(self.order, int) or self.order < 2:
+        if not _integer(self.order) or self.order < 2:
             raise ConfigError("order", f"must be an integer >= 2, got {self.order!r}")
         for i, scheme in enumerate(self.schemes):
             if scheme == "qam" and math.isqrt(self.order) ** 2 != self.order:
@@ -128,39 +179,28 @@ class SweepConfig:
         if not self.snr_grid_db:
             raise ConfigError("snr_grid_db", "must list at least one SNR point")
         for i, snr in enumerate(self.snr_grid_db):
-            if not math.isfinite(snr):
+            if not _number(snr):
                 raise ConfigError(f"snr_grid_db[{i}]", f"must be finite, got {snr!r}")
-        if not isinstance(self.trials_per_point, int) or self.trials_per_point < 1000:
+        if not _integer(self.trials_per_point) or self.trials_per_point < 1000:
             raise ConfigError(
                 "trials_per_point",
                 f"must be an integer >= 1000, got {self.trials_per_point!r}",
             )
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+        if not _integer(self.seed) or not 0 <= self.seed < 2**64:
             raise ConfigError("seed", f"must be a 64-bit unsigned integer, got {self.seed!r}")
-        if not (isinstance(self.power, (int, float)) and self.power > 0):
-            raise ConfigError("power", f"must be positive, got {self.power!r}")
-        if isinstance(self.channel_mode, FixedChannel):
-            h = complex(self.channel_mode.h)
-            if not (math.isfinite(h.real) and math.isfinite(h.imag)) or abs(h) == 0:
-                raise ConfigError("channel_mode.h", f"must be finite and nonzero, got {h!r}")
-        elif not isinstance(self.channel_mode, RayleighPerTrial):
-            raise ConfigError("channel_mode", f"unknown mode {self.channel_mode!r}")
-        if isinstance(self.reference_mode, ThresholdRatioReference):
-            if not (
-                isinstance(self.reference_mode.ratio, (int, float))
-                and self.reference_mode.ratio >= 0
-                and math.isfinite(self.reference_mode.ratio)
-            ):
-                raise ConfigError(
-                    "reference_mode.ratio",
-                    f"must be >= 0, got {self.reference_mode.ratio!r}",
-                )
-        elif isinstance(self.reference_mode, FixedReference):
-            b = complex(self.reference_mode.b)
-            if not (math.isfinite(b.real) and math.isfinite(b.imag)):
-                raise ConfigError("reference_mode.b", f"must be finite, got {b!r}")
-        elif not isinstance(self.reference_mode, ZeroReference):
-            raise ConfigError("reference_mode", f"unknown mode {self.reference_mode!r}")
+        if not (_number(self.power) and self.power > 0):
+            raise ConfigError("power", f"must be a finite number > 0, got {self.power!r}")
+        for key in ("channel_mode", "reference_mode"):
+            mode = getattr(self, key)
+            if type(mode) not in _MODES[key].values():
+                raise ConfigError(key, f"unknown mode {mode!r}")
+            for field in dataclasses.fields(mode):
+                value = getattr(mode, field.name)
+                _, ok, requirement = _FIELDS[field.name]
+                if not ok(value):
+                    raise ConfigError(
+                        f"{key}.{field.name}", f"must be {requirement}, got {value!r}"
+                    )
 
 
 @dataclass(frozen=True)
@@ -174,34 +214,11 @@ class SerPoint:
     ci95_halfwidth: float
 
 
-def _baseline_points(scheme: str, power: float, order: int) -> np.ndarray:
-    if scheme == "pam":
-        return gen_pam(power, order).points
-    if scheme == "qam":
-        return gen_qam(power, order).points
-    if scheme == "psk":
-        return gen_psk(power, order).points
-    raise ValueError(f"unknown baseline scheme {scheme!r}")
-
-
 def _scheme_points(scheme: str, state: ChannelState) -> np.ndarray:
-    if scheme == "loam":
+    gen = SCHEMES[scheme]
+    if gen is None:
         return design_loam(state).points
-    return _baseline_points(scheme, state.power, state.order)
-
-
-def run_trial(scheme: str, state: ChannelState, rng: np.random.Generator) -> bool:
-    """Run one symbol transmission; True means a symbol error occurred.
-
-    Reference implementation for a single trial; run_sweep uses the same
-    model with block-vectorized draws.
-    """
-    points = _scheme_points(scheme, state)
-    table = build_detector(points, state.h, state.b)
-    symbol = int(rng.integers(state.order))
-    noise = draw_complex_noise(rng, state.sigma2)
-    z = observe(points[symbol], state, noise)
-    return detect(table, z) != symbol
+    return gen(state.power, state.order).points
 
 
 def theoretical_ser_asymptotic(delta: float, sigma2: float, order: int) -> float:
@@ -246,37 +263,32 @@ def _fixed_block(rng, n, sigma2, order, mu, thresholds, decision_index):
 
 
 def _resolve_fixed_reference(reference_mode, h: complex, power: float, order: int) -> complex:
-    if isinstance(reference_mode, ZeroReference):
-        return 0.0 + 0.0j
-    if isinstance(reference_mode, FixedReference):
-        return complex(reference_mode.b)
-    ratio = reference_mode.ratio
-    return complex(math.sqrt(ratio * strong_reference_threshold(power, order, abs(h))))
+    if isinstance(reference_mode, ThresholdRatioReference):
+        ratio = reference_mode.ratio
+        return complex(math.sqrt(ratio * strong_reference_threshold(power, order, abs(h))))
+    return complex(reference_mode.b)
 
 
 def _rayleigh_block(rng, n, sigma2, order, power, scheme, reference_mode):
     symbols = rng.integers(0, order, size=n)
     h_re, h_im = _normal_pair(rng, n)
     h = (h_re + 1j * h_im) / math.sqrt(2.0)
-    h_mag = np.abs(h)
-    # A zero-magnitude fade is a measure-zero event but would divide below.
-    h_mag = np.maximum(h_mag, 1e-300)
 
-    if isinstance(reference_mode, ZeroReference):
-        b = np.zeros(n, dtype=complex)
-    elif isinstance(reference_mode, FixedReference):
-        b = np.full(n, complex(reference_mode.b))
-    else:
+    if isinstance(reference_mode, ThresholdRatioReference):
+        # A zero-magnitude fade is a measure-zero event but would divide below.
+        h_mag = np.maximum(np.abs(h), 1e-300)
         mag = np.sqrt(reference_mode.ratio * strong_reference_threshold(power, order, h_mag))
         phase = rng.uniform(0.0, 2.0 * math.pi, size=n)
         b = mag * np.exp(1j * phase)
+    else:
+        b = np.full(n, complex(reference_mode.b))
 
     n_re, n_im = _normal_pair(rng, n)
     noise = (n_re + 1j * n_im) * math.sqrt(sigma2 / 2.0)
 
     if scheme == "loam":
         return _loam_fading_errors(symbols, h, b, noise, power, order)
-    points = _baseline_points(scheme, power, order)
+    points = SCHEMES[scheme](power, order).points
     mu = h[:, None] * points[None, :] + b[:, None]
     r_mat = np.abs(mu)
     z = np.abs(mu[np.arange(n), symbols] + noise)
@@ -284,31 +296,51 @@ def _rayleigh_block(rng, n, sigma2, order, power, scheme, reference_mode):
     return int(np.count_nonzero(detected != symbols))
 
 
+def _loam_fading_design(h, b, power, order):
+    """design_loam for every trial of a fading block at once.
+
+    Returns (ray, c_mag, rho0, d), one entry per trial: symbol i sits at
+    ray * (c_mag - rho0 - i*d) on the ray through the null point -b/h.
+    """
+    # ray reuses the null point's buffer, which so stays alive for the whole
+    # block. Freeing it before the block's n x M arrays made glibc trim and
+    # re-fault the heap on every block: about 10^4 page faults and 40 % more
+    # time per M=64 fading sweep.
+    ray = -b / h
+    c_mag = np.abs(ray)
+    ray /= np.where(c_mag > 0, c_mag, 1.0)
+    ray[~(c_mag > 0)] = 1.0
+
+    strong = _strong_reference(np.abs(b), np.abs(h), power, order)
+    d = np.full(h.shape, spacing_strong(power, order))
+    # Weak rows have c_mag^2 < 3P(M-1)/(M+1) < 2P(2M-1)/(M+1), the largest
+    # c_mag^2 at which the inward discriminant is still non-negative.
+    d[~strong] = _spacing_root(c_mag[~strong], power, order, sqrt=np.sqrt)
+    # Strong: centered on the origin. Weak: the first level anchors at zero.
+    rho0 = np.where(strong, c_mag - (order - 1) * d / 2.0, 0.0)
+    return ray, c_mag, rho0, d
+
+
+def _loam_fading_levels(h, rho0, d, order):
+    """Receive levels |h*x_i + b| = |h| * (rho0 + i*d), one row per trial."""
+    return np.abs(h)[:, None] * (rho0[:, None] + np.arange(order)[None, :] * d[:, None])
+
+
 def _loam_fading_errors(symbols, h, b, noise, power, order):
     """Vectorized per-trial redesign, observation, and detection."""
-    n = symbols.size
-    h_mag = np.abs(h)
-    null_point = -b / h
-    c_mag = np.abs(null_point)
-    ray = np.where(c_mag > 0, null_point / np.where(c_mag > 0, c_mag, 1.0), 1.0)
-
-    threshold = strong_reference_threshold(power, order, h_mag)
-    strong = np.abs(b) ** 2 >= threshold * (1.0 - 1e-12)
-
-    a = (order - 1) * (2 * order - 1) / 6.0
-    lin = c_mag * (order - 1)
-    disc = np.maximum(lin**2 - 4.0 * a * (c_mag**2 - power), 0.0)
-    d_weak = (lin + np.sqrt(disc)) / (2.0 * a)
-    d = np.where(strong, spacing_strong(power, order), d_weak)
-    rho0 = np.where(strong, c_mag - (order - 1) * d / 2.0, 0.0)
-
-    sent_rotated = c_mag - (rho0 + symbols * d)
-    z = np.abs(h * ray * sent_rotated + b + noise)
-
-    levels = h_mag[:, None] * (rho0[:, None] + np.arange(order)[None, :] * d[:, None])
+    ray, c_mag, rho0, d = _loam_fading_design(h, b, power, order)
+    z = np.abs(h * ray * (c_mag - (rho0 + symbols * d)) + b + noise)
+    levels = _loam_fading_levels(h, rho0, d, order)
     mids = 0.5 * (levels[:, :-1] + levels[:, 1:])
     detected = np.sum(z[:, None] > mids, axis=1)
     return int(np.count_nonzero(detected != symbols))
+
+
+def _default_workers() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
 
 
 def run_sweep(config: SweepConfig, workers: int | None = None) -> list[SerPoint]:
@@ -355,7 +387,7 @@ def run_sweep(config: SweepConfig, workers: int | None = None) -> list[SerPoint]
         return si, ni, _rayleigh_block(rng, n, sigma2, order, power, scheme, config.reference_mode)
 
     errors = np.zeros((len(config.schemes), len(config.snr_grid_db)), dtype=np.int64)
-    max_workers = workers if workers else (os.cpu_count() or 1)
+    max_workers = workers if workers else _default_workers()
     if max_workers <= 1:
         for si, ni, err in map(run_block, tasks):
             errors[si, ni] += err
@@ -388,73 +420,25 @@ def run_sweep(config: SweepConfig, workers: int | None = None) -> list[SerPoint]
 # Config file schema
 # --------------------------------------------------------------------------
 
-_TOP_KEYS = {
-    "schemes",
-    "order",
-    "snr_grid_db",
-    "trials_per_point",
-    "seed",
-    "channel_mode",
-    "reference_mode",
-    "power",
-}
-
-
-def _complex_from_pair(value, path: str) -> complex:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(isinstance(v, (int, float)) for v in value)
-    ):
-        raise ConfigError(path, f"must be a [re, im] pair of numbers, got {value!r}")
-    return complex(value[0], value[1])
-
-
-def _channel_mode_from_dict(doc, path: str):
+def _mode_from_dict(doc, key: str):
     if not isinstance(doc, dict) or "mode" not in doc:
-        raise ConfigError(path, "must be an object with a 'mode' key")
-    mode = doc["mode"]
-    if mode == "fixed_channel":
-        extra = set(doc) - {"mode", "h"}
-        if extra:
-            raise ConfigError(f"{path}.{sorted(extra)[0]}", "unknown key")
-        if "h" not in doc:
-            raise ConfigError(f"{path}.h", "required for fixed_channel")
-        return FixedChannel(h=_complex_from_pair(doc["h"], f"{path}.h"))
-    if mode == "rayleigh_per_trial":
-        extra = set(doc) - {"mode"}
-        if extra:
-            raise ConfigError(f"{path}.{sorted(extra)[0]}", "unknown key")
-        return RayleighPerTrial()
-    raise ConfigError(f"{path}.mode", f"must be fixed_channel or rayleigh_per_trial, got {mode!r}")
-
-
-def _reference_mode_from_dict(doc, path: str):
-    if not isinstance(doc, dict) or "mode" not in doc:
-        raise ConfigError(path, "must be an object with a 'mode' key")
-    mode = doc["mode"]
-    if mode == "zero":
-        extra = set(doc) - {"mode"}
-        if extra:
-            raise ConfigError(f"{path}.{sorted(extra)[0]}", "unknown key")
-        return ZeroReference()
-    if mode == "fixed_value":
-        extra = set(doc) - {"mode", "b"}
-        if extra:
-            raise ConfigError(f"{path}.{sorted(extra)[0]}", "unknown key")
-        if "b" not in doc:
-            raise ConfigError(f"{path}.b", "required for fixed_value")
-        return FixedReference(b=_complex_from_pair(doc["b"], f"{path}.b"))
-    if mode == "threshold_ratio":
-        extra = set(doc) - {"mode", "ratio"}
-        if extra:
-            raise ConfigError(f"{path}.{sorted(extra)[0]}", "unknown key")
-        if "ratio" not in doc or not isinstance(doc["ratio"], (int, float)):
-            raise ConfigError(f"{path}.ratio", "required number for threshold_ratio")
-        return ThresholdRatioReference(ratio=float(doc["ratio"]))
-    raise ConfigError(
-        f"{path}.mode", f"must be zero, fixed_value, or threshold_ratio, got {mode!r}"
-    )
+        raise ConfigError(key, "must be an object with a 'mode' key")
+    modes = _MODES[key]
+    name = doc["mode"]
+    cls = modes.get(name) if isinstance(name, str) else None
+    if cls is None:
+        raise ConfigError(f"{key}.mode", f"must be one of {', '.join(modes)}, got {name!r}")
+    fields = [field.name for field in dataclasses.fields(cls)]
+    extra = sorted(set(doc) - {"mode", *fields})
+    if extra:
+        raise ConfigError(f"{key}.{extra[0]}", "unknown key")
+    values = {}
+    for field in fields:
+        path = f"{key}.{field}"
+        if field not in doc:
+            raise ConfigError(path, f"required for {name}")
+        values[field] = _FIELDS[field][0](doc[field], path)
+    return cls(**values)
 
 
 def sweep_config_from_dict(doc) -> SweepConfig:
@@ -464,37 +448,29 @@ def sweep_config_from_dict(doc) -> SweepConfig:
     """
     if not isinstance(doc, dict):
         raise ConfigError("<root>", "config must be a JSON object")
+    fields = dataclasses.fields(SweepConfig)
     for key in doc:
-        if key not in _TOP_KEYS:
+        if key not in {field.name for field in fields}:
             raise ConfigError(key, "unknown key")
-    for key in ("schemes", "order", "snr_grid_db", "trials_per_point", "seed",
-                "channel_mode", "reference_mode"):
-        if key not in doc:
-            raise ConfigError(key, "missing required key")
+    for field in fields:
+        if field.name not in doc and field.default is dataclasses.MISSING:
+            raise ConfigError(field.name, "missing required key")
     schemes = doc["schemes"]
     if not isinstance(schemes, list) or not all(isinstance(s, str) for s in schemes):
         raise ConfigError("schemes", f"must be a list of scheme names, got {schemes!r}")
     snr_grid = doc["snr_grid_db"]
-    if not isinstance(snr_grid, list) or not all(
-        isinstance(s, (int, float)) for s in snr_grid
-    ):
+    if not isinstance(snr_grid, list) or not all(map(_real, snr_grid)):
         raise ConfigError("snr_grid_db", f"must be a list of numbers, got {snr_grid!r}")
-    for name, key in (("order", "order"), ("trials_per_point", "trials_per_point"),
-                      ("seed", "seed")):
-        if not isinstance(doc[key], int) or isinstance(doc[key], bool):
-            raise ConfigError(name, f"must be an integer, got {doc[key]!r}")
-    power = doc.get("power", 1.0)
-    if not isinstance(power, (int, float)) or isinstance(power, bool):
-        raise ConfigError("power", f"must be a number, got {power!r}")
+    power = _read_number(doc.get("power", 1.0), "power")
     config = SweepConfig(
         schemes=tuple(schemes),
         order=doc["order"],
-        snr_grid_db=tuple(float(s) for s in snr_grid),
+        snr_grid_db=tuple(snr_grid),
         trials_per_point=doc["trials_per_point"],
         seed=doc["seed"],
-        channel_mode=_channel_mode_from_dict(doc["channel_mode"], "channel_mode"),
-        reference_mode=_reference_mode_from_dict(doc["reference_mode"], "reference_mode"),
-        power=float(power),
+        channel_mode=_mode_from_dict(doc["channel_mode"], "channel_mode"),
+        reference_mode=_mode_from_dict(doc["reference_mode"], "reference_mode"),
+        power=power,
     )
     config.validate()
     return config
@@ -503,10 +479,6 @@ def sweep_config_from_dict(doc) -> SweepConfig:
 # --------------------------------------------------------------------------
 # Output formats
 # --------------------------------------------------------------------------
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
 
 def ser_points_to_csv(points: list[SerPoint]) -> str:
     """CSV with header scheme,order,snr_db,trials,errors,ser,ci95."""

@@ -5,79 +5,39 @@ import pytest
 
 from loamsim import (
     ChannelState,
-    draw_complex_noise,
+    build_detector,
     effective_min_distance,
     gen_pam,
     gen_psk,
-    observe,
     snr_db_to_sigma2,
     spacing_strong,
-    transformed_magnitude,
 )
 
 
+def _levels(points, h, b):
+    """Transformed magnitudes |h*x + b| as the detector computes them, in point order."""
+    table = build_detector(points, h, b)
+    return table.magnitudes[np.argsort(table.symbol_index)]
+
+
 def test_transformed_magnitude_reduces_to_reference():
-    assert transformed_magnitude(0.0, 1.5 - 0.5j, 3 + 4j) == pytest.approx(5.0)
+    assert _levels([0.0, 1.0], 1.5 - 0.5j, 3 + 4j)[0] == pytest.approx(5.0)
 
 
 def test_transformed_magnitude_real_line():
-    assert transformed_magnitude(1.0, 1.0, 2.0) == pytest.approx(3.0)
+    assert _levels([1.0, 0.0], 1.0, 2.0)[0] == pytest.approx(3.0)
 
 
 def test_transformed_magnitude_offset_level():
     # direct evaluation of |h*x + b| for an interior PAM-like level
-    assert transformed_magnitude(1.3416, 1.0, 2.0) == pytest.approx(3.3416)
+    assert _levels([1.3416, 0.0], 1.0, 2.0)[0] == pytest.approx(3.3416)
 
 
 def test_transformed_magnitude_rejects_non_finite():
     with pytest.raises(ValueError):
-        transformed_magnitude(float("nan"), 1.0, 0.0)
+        effective_min_distance([float("nan"), 0.0], 1.0, 0.0)
     with pytest.raises(ValueError):
-        transformed_magnitude(1.0, complex(float("inf"), 0), 0.0)
-
-
-def test_observe_zero_noise_matches_transformed_magnitude():
-    rng = np.random.default_rng(1)
-    state = ChannelState(h=0.7 - 0.2j, b=1.1 + 0.3j, power=1.0, order=4)
-    for _ in range(50):
-        x = complex(rng.normal(), rng.normal())
-        assert observe(x, state, 0.0) == pytest.approx(
-            transformed_magnitude(x, state.h, state.b)
-        )
-
-
-def test_observe_pure_noise():
-    state = ChannelState(h=1.0, b=0.0, power=1.0, order=2)
-    assert observe(0.0, state, 3 - 4j) == pytest.approx(5.0)
-
-
-def test_observe_collinear_noise():
-    state = ChannelState(h=1.0, b=2.0, power=1.0, order=2)
-    assert observe(1.0, state, -0.1 + 0j) == pytest.approx(2.9)
-
-
-def test_draw_complex_noise_zero_variance():
-    rng = np.random.default_rng(0)
-    assert draw_complex_noise(rng, 0.0) == 0j
-
-
-def test_draw_complex_noise_rejects_negative_variance():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        draw_complex_noise(rng, -1e-6)
-
-
-def test_draw_complex_noise_statistics():
-    rng = np.random.default_rng(1234)
-    sigma2 = 0.49
-    n = 1_000_000
-    draws = np.fromiter(
-        (draw_complex_noise(rng, sigma2) for _ in range(n)), dtype=complex, count=n
-    )
-    assert isinstance(draw_complex_noise(rng, sigma2), complex)
-    assert abs(draws.mean()) < 5e-3 * math.sqrt(sigma2)
-    assert np.var(draws.real) == pytest.approx(sigma2 / 2.0, rel=0.01)
-    assert np.var(draws.imag) == pytest.approx(sigma2 / 2.0, rel=0.01)
+        build_detector([1.0, 0.0], complex(float("inf"), 0), 0.0)
 
 
 @pytest.mark.parametrize(
@@ -130,9 +90,8 @@ def test_phase_shift_invariance():
         h = complex(rng.normal(), rng.normal())
         b = complex(rng.normal(), rng.normal())
         phi = rng.uniform(0, 2 * math.pi)
-        r0 = transformed_magnitude(x, h, b)
-        r1 = transformed_magnitude(x * np.exp(1j * phi), h * np.exp(-1j * phi), b)
-        assert r1 == pytest.approx(r0, rel=1e-12, abs=1e-12)
+        x_rot, h_rot = x * np.exp(1j * phi), h * np.exp(-1j * phi)
+        assert abs(h_rot * x_rot + b) == pytest.approx(abs(h * x + b), rel=1e-12, abs=1e-12)
 
 
 def test_channel_state_validation():

@@ -72,6 +72,22 @@ def test_design_out_file(tmp_path):
     assert doc["regime"] is None
 
 
+@pytest.mark.parametrize(
+    "scheme,flag,value",
+    [("pam", "--power", "nan"), ("psk", "--power", "inf"), ("qam", "--h-re", "inf"),
+     ("pam", "--b-im", "nan")],
+)
+def test_design_rejects_non_finite_inputs(scheme, flag, value):
+    args = {"--h-re": "1", "--power": "1", flag: value}
+    result = run_cli(
+        "design", *(x for pair in args.items() for x in pair), "--order", "4",
+        "--scheme", scheme,
+    )
+    assert result.returncode == 1
+    assert "finite" in result.stderr
+    assert result.stdout == ""
+
+
 def test_sweep_row_count_and_reproducibility(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(CONFIG))
@@ -106,6 +122,16 @@ def test_sweep_rejects_zero_trials(tmp_path):
     result = run_cli("sweep", str(cfg))
     assert result.returncode == 1
     assert "trials_per_point" in result.stderr
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_sweep_rejects_threads_below_one(tmp_path, threads):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(CONFIG))
+    result = run_cli("sweep", str(cfg), "--threads", threads)
+    assert result.returncode == 2
+    assert "--threads" in result.stderr
+    assert result.stdout == ""
 
 
 def test_sweep_rejects_bad_json(tmp_path):

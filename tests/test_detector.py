@@ -10,7 +10,6 @@ from loamsim import (
     detect,
     gen_pam,
     gen_psk,
-    transformed_magnitude,
 )
 
 
@@ -89,7 +88,7 @@ def test_zero_noise_identity():
         if table.ambiguous:
             continue
         for i in range(order):
-            z = transformed_magnitude(pts[i], h, b)
+            z = abs(h * pts[i] + b)
             assert detect(table, z) == i
 
 

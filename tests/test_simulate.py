@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,13 +13,15 @@ from loamsim import (
     SweepConfig,
     ThresholdRatioReference,
     ZeroReference,
+    design_loam,
     run_sweep,
-    run_trial,
     ser_points_to_csv,
     ser_points_to_json,
+    strong_reference_threshold,
     sweep_config_from_dict,
     theoretical_ser_asymptotic,
 )
+from loamsim.simulate import _loam_fading_design, _loam_fading_levels
 
 
 def sweep(schemes, order=4, snrs=(40.0,), trials=100_000, seed=99, h=1.0 + 0j,
@@ -34,23 +37,6 @@ def sweep(schemes, order=4, snrs=(40.0,), trials=100_000, seed=99, h=1.0 + 0j,
         power=power,
     )
     return run_sweep(cfg, workers=workers)
-
-
-# ---------------------------------------------------------------------------
-# run_trial
-# ---------------------------------------------------------------------------
-
-def test_run_trial_zero_noise_never_errs():
-    rng = np.random.default_rng(0)
-    state = ChannelState(h=1.0, b=2.0, power=1.0, order=4, sigma2=0.0)
-    assert not any(run_trial("loam", state, rng) for _ in range(200))
-
-
-def test_run_trial_ambiguous_scheme_plateaus():
-    rng = np.random.default_rng(1)
-    state = ChannelState(h=1.0, b=0.0, power=1.0, order=4, sigma2=1e-6)
-    errs = sum(run_trial("psk", state, rng) for _ in range(4000))
-    assert errs / 4000 == pytest.approx(0.75, abs=0.03)
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +170,30 @@ def test_rayleigh_mode_runs_all_schemes():
     assert by_scheme["loam"][1] <= min(by_scheme[s][1] for s in ("pam", "qam", "psk"))
 
 
+@pytest.mark.parametrize("order", [2, 4, 64])
+@pytest.mark.parametrize("regime", ["lofree", "weak", "strong", "boundary"])
+def test_fading_levels_match_design_loam(regime, order):
+    """The fading path's per-trial LOAM receive levels are design_loam's magnitudes."""
+    rng = np.random.default_rng(order)
+    n = 300
+    power = float(rng.uniform(0.2, 5.0))
+    h = (rng.normal(size=n) + 1j * rng.normal(size=n)) / math.sqrt(2.0)
+    ratio = {
+        "lofree": 0.0,
+        "weak": rng.uniform(0.02, 0.98, n),
+        "strong": rng.uniform(1.0, 5.0, n),
+        "boundary": 1.0,
+    }[regime]
+    threshold = strong_reference_threshold(power, order, np.abs(h))
+    b = np.sqrt(ratio * threshold) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, n))
+    _, _, rho0, d = _loam_fading_design(h, b, power, order)
+    levels = _loam_fading_levels(h, rho0, d, order)
+    for k in range(n):
+        state = ChannelState(h=h[k], b=b[k], power=power, order=order)
+        magnitudes = design_loam(state).magnitudes
+        np.testing.assert_allclose(levels[k], magnitudes, rtol=1e-12, atol=1e-12 * magnitudes[-1])
+
+
 def test_rayleigh_deterministic_across_workers():
     kwargs = dict(schemes=["loam", "psk"], snrs=(10.0,), trials=25_000, seed=3,
                   channel=RayleighPerTrial(), reference=ThresholdRatioReference(ratio=1.0))
@@ -238,6 +248,33 @@ def test_config_reports_offending_key_path():
     with pytest.raises(ConfigError) as err:
         sweep_config_from_dict(_config_doc(unexpected=1))
     assert err.value.path == "unexpected"
+
+
+@pytest.mark.parametrize(
+    "source,overrides,path",
+    [
+        ("json", {"reference_mode": {"mode": "threshold_ratio", "ratio": True}},
+         "reference_mode.ratio"),
+        ("json", {"channel_mode": {"mode": "fixed_channel", "h": [True, False]}},
+         "channel_mode.h"),
+        ("json", {"reference_mode": {"mode": "fixed_value", "b": [1.0, False]}},
+         "reference_mode.b"),
+        ("json", {"snr_grid_db": [True]}, "snr_grid_db"),
+        ("json", {"power": float("inf")}, "power"),
+        ("library", {"seed": True, "power": True}, "seed"),
+        ("library", {"power": True}, "power"),
+        ("library", {"power": float("inf")}, "power"),
+        ("library", {"reference_mode": ThresholdRatioReference(ratio=True)},
+         "reference_mode.ratio"),
+    ],
+)
+def test_config_rejects_bools_and_non_finite_numbers(source, overrides, path):
+    with pytest.raises(ConfigError) as err:
+        if source == "json":
+            sweep_config_from_dict(_config_doc(**overrides))
+        else:
+            dataclasses.replace(sweep_config_from_dict(_config_doc()), **overrides).validate()
+    assert err.value.path == path
 
 
 def test_config_rejects_unknown_scheme():
