@@ -53,8 +53,9 @@ def _cmd_design(args, parser: argparse.ArgumentParser) -> int:
         return 1
     gen = SCHEMES[args.scheme]
     try:
+        # Every scheme needs h != 0: with h = 0 all points land on |b|.
+        state = ChannelState(h=h, b=b, power=args.power, order=args.order)
         if gen is None:
-            state = ChannelState(h=h, b=b, power=args.power, order=args.order)
             text = design_to_json(design_loam(state))
         else:
             text = constellation_to_json(gen(args.power, args.order), h, b)

@@ -80,6 +80,24 @@ def build_detector(points, h, b) -> DetectorTable:
     )
 
 
+def _acceptance_intervals(table: DetectorTable):
+    """Per symbol, the interval (lo, hi] of amplitudes that `detect` maps to it.
+
+    Returns (lo, hi), indexed by constellation index: symbol s is detected
+    exactly when lo[s] < z <= hi[s]. A tied symbol that is not the lowest
+    index of its group is never detected and gets the empty interval
+    lo = +inf, hi = -inf.
+    """
+    edges = np.concatenate(([-np.inf], table.thresholds, [np.inf]))
+    lo = np.full(edges.size - 1, np.inf)
+    hi = np.full(edges.size - 1, -np.inf)
+    # A symbol's slots are contiguous and the edges ascend, so its interval
+    # runs from its first slot's lower edge to its last slot's upper edge.
+    np.minimum.at(lo, table.decision_index, edges[:-1])
+    np.maximum.at(hi, table.decision_index, edges[1:])
+    return lo, hi
+
+
 def detect(table: DetectorTable, z):
     """Map an observed amplitude to a symbol index.
 

@@ -13,8 +13,10 @@ realization (the transmitter knows h and b); baseline alphabets stay fixed.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import ClassVar
@@ -31,7 +33,7 @@ from .constellations import (
     spacing_strong,
     strong_reference_threshold,
 )
-from .detector import build_detector
+from .detector import _acceptance_intervals, build_detector
 
 __all__ = [
     "FixedChannel",
@@ -105,7 +107,10 @@ def _real(x) -> bool:
 
 def _number(x) -> bool:
     """A finite int or float, the test validate applies to every number."""
-    return _real(x) and (isinstance(x, int) or math.isfinite(x))
+    try:
+        return _real(x) and math.isfinite(x)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def _integer(x) -> bool:
@@ -113,22 +118,32 @@ def _integer(x) -> bool:
 
 
 def _finite_complex(z) -> bool:
-    z = complex(z)
+    try:
+        z = complex(z)
+    except OverflowError:  # an int beyond the float range
+        return False
     return _number(z.real) and _number(z.imag)
 
 
-# Config readers check types only; validate rejects non-finite values under
-# the same key path.
+def _as_float(value, path: str) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(path, "must be finite, got an integer too large for a float") from None
+
+
+# Config readers check types and the float range only; validate rejects
+# non-finite values under the same key path.
 def _read_number(value, path: str) -> float:
     if not _real(value):
         raise ConfigError(path, f"must be a number, got {value!r}")
-    return float(value)
+    return _as_float(value, path)
 
 
 def _read_pair(value, path: str) -> complex:
     if not (isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_real, value))):
         raise ConfigError(path, f"must be a [re, im] pair of numbers, got {value!r}")
-    return complex(value[0], value[1])
+    return complex(_as_float(value[0], path), _as_float(value[1], path))
 
 
 # Config name of every channel and reference mode. The fields of a mode's
@@ -161,7 +176,8 @@ class SweepConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "schemes", tuple(self.schemes))
-        object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in self.snr_grid_db))
+        snrs = tuple(_as_float(s, f"snr_grid_db[{i}]") for i, s in enumerate(self.snr_grid_db))
+        object.__setattr__(self, "snr_grid_db", snrs)
 
     def validate(self) -> None:
         for i, scheme in enumerate(self.schemes):
@@ -243,23 +259,57 @@ def theoretical_ser_asymptotic(delta: float, sigma2: float, order: int) -> float
 # --------------------------------------------------------------------------
 # Block simulation kernels
 # --------------------------------------------------------------------------
+#
+# Every kernel takes `buffers`, the work arrays of the calling worker thread
+# for one sweep, and writes its draws, observations, detection bounds and the
+# fading baselines' trials x M chunks there with the out= forms of the same
+# operations. Per block it allocates only the drawn symbols and, under
+# fading, the per-trial LOAM design and reference magnitudes.
+
+# Elements of one row chunk of the fading baselines' trials x M detection:
+# bounds that path's memory per worker whatever the order M.
+_CHUNK = 1 << 15
+
 
 def _block_rng(seed: int, scheme_idx: int, snr_idx: int, block_idx: int) -> np.random.Generator:
     ss = np.random.SeedSequence(seed, spawn_key=(scheme_idx, snr_idx, block_idx))
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _normal_pair(rng: np.random.Generator, n: int):
-    return rng.standard_normal(n), rng.standard_normal(n)
+def _scratch(buffers: dict, name: str, n: int, dtype=np.float64) -> np.ndarray:
+    """The first n entries of the worker's buffer `name`, grown when too short."""
+    buf = buffers.get(name)
+    if buf is None or buf.size < n:
+        buf = buffers[name] = np.empty(n, dtype)
+    return buf[:n]
 
 
-def _fixed_block(rng, n, sigma2, order, mu, thresholds, decision_index):
-    symbols = rng.integers(0, order, size=n)
-    n_re, n_im = _normal_pair(rng, n)
-    noise = (n_re + 1j * n_im) * math.sqrt(sigma2 / 2.0)
-    z = np.abs(mu[symbols] + noise)
-    slots = np.searchsorted(thresholds, z, side="left")
-    return int(np.count_nonzero(decision_index[slots] != symbols))
+def _complex_normal(rng: np.random.Generator, n: int, buffers: dict, name: str) -> np.ndarray:
+    """n_re + 1j*n_im from two standard normal draws of n, into buffer `name`."""
+    n_re = rng.standard_normal(out=_scratch(buffers, "n_re", n))
+    n_im = rng.standard_normal(out=_scratch(buffers, "n_im", n))
+    out = np.multiply(1j, n_im, out=_scratch(buffers, name, n, complex))
+    return np.add(n_re, out, out=out)
+
+
+def _outside(z, lo, hi, buffers: dict) -> np.ndarray:
+    """Per trial, whether z falls outside (lo, hi], the interval that detects its symbol."""
+    wrong = np.less_equal(z, lo, out=_scratch(buffers, "wrong", z.size, bool))
+    above = np.greater(z, hi, out=_scratch(buffers, "above", z.size, bool))
+    return np.logical_or(wrong, above, out=wrong)
+
+
+def _fixed_block(rng, n, sigma2, buffers, mu, lo, hi):
+    """Errors among n trials at receive values mu; symbol s is detected on (lo[s], hi[s]]."""
+    symbols = rng.integers(0, mu.size, size=n)
+    noise = _complex_normal(rng, n, buffers, "noise")
+    np.multiply(noise, math.sqrt(sigma2 / 2.0), out=noise)
+    # Symbols are in range, so take's "clip" skips only the bounds check.
+    rx = mu.take(symbols, out=_scratch(buffers, "rx", n, complex), mode="clip")
+    z = np.abs(np.add(rx, noise, out=rx), out=_scratch(buffers, "z", n))
+    sym_lo = lo.take(symbols, out=_scratch(buffers, "sym_lo", n), mode="clip")
+    sym_hi = hi.take(symbols, out=_scratch(buffers, "sym_hi", n), mode="clip")
+    return int(np.count_nonzero(_outside(z, sym_lo, sym_hi, buffers)))
 
 
 def _resolve_fixed_reference(reference_mode, h: complex, power: float, order: int) -> complex:
@@ -269,31 +319,61 @@ def _resolve_fixed_reference(reference_mode, h: complex, power: float, order: in
     return complex(reference_mode.b)
 
 
-def _rayleigh_block(rng, n, sigma2, order, power, scheme, reference_mode):
+def _rayleigh_block(rng, n, sigma2, buffers, order, power, points, reference_mode):
+    """Errors among n fading trials; points is None for LOAM, redesigned per trial."""
     symbols = rng.integers(0, order, size=n)
-    h_re, h_im = _normal_pair(rng, n)
-    h = (h_re + 1j * h_im) / math.sqrt(2.0)
+    h = _complex_normal(rng, n, buffers, "h")
+    np.divide(h, math.sqrt(2.0), out=h)
 
+    b = _scratch(buffers, "b", n, complex)
     if isinstance(reference_mode, ThresholdRatioReference):
         # A zero-magnitude fade is a measure-zero event but would divide below.
-        h_mag = np.maximum(np.abs(h), 1e-300)
+        h_mag = np.abs(h, out=_scratch(buffers, "h_mag", n))
+        np.maximum(h_mag, 1e-300, out=h_mag)
         mag = np.sqrt(reference_mode.ratio * strong_reference_threshold(power, order, h_mag))
-        phase = rng.uniform(0.0, 2.0 * math.pi, size=n)
-        b = mag * np.exp(1j * phase)
+        # uniform has no out=; uniform(0, 2*pi) is 0 + 2*pi*u for the same u.
+        phase = rng.random(out=_scratch(buffers, "phase", n))
+        np.multiply(phase, 2.0 * math.pi, out=phase)
+        np.multiply(mag, np.exp(np.multiply(1j, phase, out=b), out=b), out=b)
     else:
-        b = np.full(n, complex(reference_mode.b))
+        b.fill(complex(reference_mode.b))
 
-    n_re, n_im = _normal_pair(rng, n)
-    noise = (n_re + 1j * n_im) * math.sqrt(sigma2 / 2.0)
+    noise = _complex_normal(rng, n, buffers, "noise")
+    np.multiply(noise, math.sqrt(sigma2 / 2.0), out=noise)
 
-    if scheme == "loam":
-        return _loam_fading_errors(symbols, h, b, noise, power, order)
-    points = SCHEMES[scheme](power, order).points
-    mu = h[:, None] * points[None, :] + b[:, None]
-    r_mat = np.abs(mu)
-    z = np.abs(mu[np.arange(n), symbols] + noise)
-    detected = np.argmin(np.abs(z[:, None] - r_mat), axis=1)
-    return int(np.count_nonzero(detected != symbols))
+    if points is None:
+        return _loam_fading_errors(symbols, h, b, noise, power, order, buffers)
+    return _baseline_fading_errors(symbols, h, b, noise, points, buffers)
+
+
+def _baseline_fading_errors(symbols, h, b, noise, points, buffers) -> int:
+    """Nearest-level detection over each trial's levels |h*x + b|, in row chunks.
+
+    Each row's operations are those of the whole trials x M matrix, so the
+    detected symbols do not depend on the chunk size.
+    """
+    order = points.size
+    rows = max(1, _CHUNK // order)
+    key = ("offsets", order)  # start of each row in a flattened chunk
+    offsets = buffers.get(key)
+    if offsets is None:
+        offsets = buffers[key] = np.arange(0, rows * order, order)
+    errors = 0
+    for start in range(0, symbols.size, rows):
+        part = slice(start, min(start + rows, symbols.size))
+        m = part.stop - start
+        mu = _scratch(buffers, "mu", m * order, complex).reshape(m, order)
+        np.multiply(h[part, None], points[None, :], out=mu)
+        np.add(mu, b[part, None], out=mu)
+        dist = np.abs(mu, out=_scratch(buffers, "dist", m * order).reshape(m, order))
+        flat = np.add(offsets[:m], symbols[part], out=_scratch(buffers, "flat", m, np.intp))
+        rx = mu.reshape(-1).take(flat, out=_scratch(buffers, "rx", m, complex), mode="clip")
+        z = np.abs(np.add(rx, noise[part], out=rx), out=_scratch(buffers, "z", m))
+        np.abs(np.subtract(z[:, None], dist, out=dist), out=dist)
+        detected = np.argmin(dist, axis=1, out=_scratch(buffers, "detected", m, np.intp))
+        wrong = np.not_equal(detected, symbols[part], out=_scratch(buffers, "wrong", m, bool))
+        errors += int(np.count_nonzero(wrong))
+    return errors
 
 
 def _loam_fading_design(h, b, power, order):
@@ -302,10 +382,6 @@ def _loam_fading_design(h, b, power, order):
     Returns (ray, c_mag, rho0, d), one entry per trial: symbol i sits at
     ray * (c_mag - rho0 - i*d) on the ray through the null point -b/h.
     """
-    # ray reuses the null point's buffer, which so stays alive for the whole
-    # block. Freeing it before the block's n x M arrays made glibc trim and
-    # re-fault the heap on every block: about 10^4 page faults and 40 % more
-    # time per M=64 fading sweep.
     ray = -b / h
     c_mag = np.abs(ray)
     ray /= np.where(c_mag > 0, c_mag, 1.0)
@@ -326,14 +402,44 @@ def _loam_fading_levels(h, rho0, d, order):
     return np.abs(h)[:, None] * (rho0[:, None] + np.arange(order)[None, :] * d[:, None])
 
 
-def _loam_fading_errors(symbols, h, b, noise, power, order):
+def _loam_fading_errors(symbols, h, b, noise, power, order, buffers) -> int:
     """Vectorized per-trial redesign, observation, and detection."""
+    n = symbols.size
     ray, c_mag, rho0, d = _loam_fading_design(h, b, power, order)
-    z = np.abs(h * ray * (c_mag - (rho0 + symbols * d)) + b + noise)
-    levels = _loam_fading_levels(h, rho0, d, order)
-    mids = 0.5 * (levels[:, :-1] + levels[:, 1:])
-    detected = np.sum(z[:, None] > mids, axis=1)
-    return int(np.count_nonzero(detected != symbols))
+    offset = np.multiply(symbols, d, out=_scratch(buffers, "offset", n))
+    np.subtract(c_mag, np.add(rho0, offset, out=offset), out=offset)
+    rx = np.multiply(h, ray, out=_scratch(buffers, "rx", n, complex))
+    np.multiply(rx, offset, out=rx)
+    z = np.abs(np.add(np.add(rx, b, out=rx), noise, out=rx), out=_scratch(buffers, "z", n))
+    return int(np.count_nonzero(_loam_fading_outside(z, symbols, h, rho0, d, order, buffers)))
+
+
+def _loam_fading_level(j, h_mag, rho0, d, out):
+    """Column j of _loam_fading_levels, j given per trial, by the same operations."""
+    np.multiply(j, d, out=out)
+    np.add(rho0, out, out=out)
+    return np.multiply(h_mag, out, out=out)
+
+
+def _loam_fading_outside(z, symbols, h, rho0, d, order, buffers) -> np.ndarray:
+    """Per trial, whether nearest-level detection of z misses its symbol.
+
+    A trial's levels ascend with i, and so do their float midpoints mid(i) =
+    0.5*(level(i) + level(i+1)). Counting the midpoints below z therefore
+    detects symbol s exactly when mid(s-1) < z <= mid(s).
+    """
+    n = symbols.size
+    h_mag = np.abs(h, out=_scratch(buffers, "h_mag", n))
+    j = _scratch(buffers, "j", n)
+    level = _loam_fading_level(symbols, h_mag, rho0, d, _scratch(buffers, "level", n))
+    lo = _loam_fading_level(np.add(symbols, -1.0, out=j), h_mag, rho0, d, _scratch(buffers, "lo", n))
+    np.multiply(0.5, np.add(lo, level, out=lo), out=lo)
+    hi = _loam_fading_level(np.add(symbols, 1.0, out=j), h_mag, rho0, d, _scratch(buffers, "hi", n))
+    np.multiply(0.5, np.add(level, hi, out=hi), out=hi)
+    edge = _scratch(buffers, "edge", n, bool)
+    np.copyto(lo, -np.inf, where=np.equal(symbols, 0, out=edge))
+    np.copyto(hi, np.inf, where=np.equal(symbols, order - 1, out=edge))
+    return _outside(z, lo, hi, buffers)
 
 
 def _default_workers() -> int:
@@ -353,16 +459,25 @@ def run_sweep(config: SweepConfig, workers: int | None = None) -> list[SerPoint]
     trials = config.trials_per_point
     fixed = isinstance(config.channel_mode, FixedChannel)
 
-    prepared = {}
+    kernels = {}  # scheme: block kernel taking (rng, n, sigma2, buffers)
     if fixed:
         h = complex(config.channel_mode.h)
         b = _resolve_fixed_reference(config.reference_mode, h, power, order)
         state = ChannelState(h=h, b=b, power=power, order=order)
         for scheme in set(config.schemes):
             points = _scheme_points(scheme, state)
-            table = build_detector(points, h, b)
-            mu = h * points + b
-            prepared[scheme] = (mu, table.thresholds, table.decision_index)
+            lo, hi = _acceptance_intervals(build_detector(points, h, b))
+            kernels[scheme] = functools.partial(_fixed_block, mu=h * points + b, lo=lo, hi=hi)
+    else:
+        for scheme in set(config.schemes):
+            gen = SCHEMES[scheme]
+            kernels[scheme] = functools.partial(
+                _rayleigh_block,
+                order=order,
+                power=power,
+                points=None if gen is None else gen(power, order).points,
+                reference_mode=config.reference_mode,
+            )
 
     n_blocks = (trials + _BLOCK - 1) // _BLOCK
     tasks = []
@@ -378,13 +493,14 @@ def run_sweep(config: SweepConfig, workers: int | None = None) -> list[SerPoint]
                 n = min(_BLOCK, trials - bi * _BLOCK)
                 tasks.append((si, ni, bi, scheme, sigma2, n))
 
+    worker = threading.local()  # each thread's block buffers, dropped with the sweep
+
     def run_block(task):
         si, ni, bi, scheme, sigma2, n = task
+        if not hasattr(worker, "buffers"):
+            worker.buffers = {}
         rng = _block_rng(config.seed, si, ni, bi)
-        if fixed:
-            mu, thresholds, decision_index = prepared[scheme]
-            return si, ni, _fixed_block(rng, n, sigma2, order, mu, thresholds, decision_index)
-        return si, ni, _rayleigh_block(rng, n, sigma2, order, power, scheme, config.reference_mode)
+        return si, ni, kernels[scheme](rng, n, sigma2, worker.buffers)
 
     errors = np.zeros((len(config.schemes), len(config.snr_grid_db)), dtype=np.int64)
     max_workers = workers if workers else _default_workers()

@@ -88,6 +88,26 @@ def test_design_rejects_non_finite_inputs(scheme, flag, value):
     assert result.stdout == ""
 
 
+@pytest.mark.parametrize("scheme", ["pam", "qam", "psk", "loam"])
+def test_design_rejects_zero_channel_gain(scheme):
+    result = run_cli(
+        "design", "--h-re", "0", "--h-im", "0", "--b-re", "1", "--power", "1",
+        "--order", "4", "--scheme", scheme,
+    )
+    assert result.returncode == 1
+    assert "design failed: channel gain h must be nonzero" in result.stderr
+    assert result.stdout == ""
+
+
+def test_sweep_rejects_integer_beyond_float_range(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(CONFIG).replace('"power": 1.0', '"power": 1' + "0" * 400))
+    result = run_cli("sweep", str(cfg))
+    assert result.returncode == 1
+    assert "invalid config: power:" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_sweep_row_count_and_reproducibility(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(CONFIG))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from loamsim import (
     ChannelState,
@@ -10,7 +12,10 @@ from loamsim import (
     detect,
     gen_pam,
     gen_psk,
+    strong_reference_threshold,
 )
+from loamsim.constellations import SCHEMES
+from loamsim.detector import _acceptance_intervals
 
 
 def _strong_table():
@@ -112,3 +117,45 @@ def test_detect_monotone_in_observation():
     z = np.linspace(0.0, 5.0, 4001)
     slots = np.searchsorted(table.thresholds, z, side="left")
     assert np.all(np.diff(slots) >= 0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    scheme=st.sampled_from(sorted(SCHEMES)),
+    order=st.sampled_from([2, 3, 4, 8, 16]),
+    reference=st.sampled_from(["zero", "weak", "strong"]),
+    h_mag=st.floats(0.05, 20.0),
+    h_phase=st.floats(0.0, 2 * math.pi),
+    b_phase=st.floats(0.0, 2 * math.pi),
+    weak_ratio=st.floats(0.0, 1.0, exclude_max=True),
+    strong_ratio=st.floats(1.0, 10.0),
+    extra_z=st.lists(st.floats(0.0, 100.0), max_size=16),
+)
+def test_acceptance_intervals_match_detect(
+    scheme, order, reference, h_mag, h_phase, b_phase, weak_ratio, strong_ratio, extra_z
+):
+    """Symbol s is detected exactly on (lo[s], hi[s]]; zero references fold the baselines."""
+    assume(scheme != "qam" or math.isqrt(order) ** 2 == order)
+    h = h_mag * complex(math.cos(h_phase), math.sin(h_phase))
+    ratio = {"zero": 0.0, "weak": weak_ratio, "strong": strong_ratio}[reference]
+    b = math.sqrt(ratio * strong_reference_threshold(1.0, order, h_mag)) * complex(
+        math.cos(b_phase), math.sin(b_phase)
+    )
+    gen = SCHEMES[scheme]
+    if gen is None:
+        points = design_loam(ChannelState(h=h, b=b, power=1.0, order=order)).points
+    else:
+        points = gen(1.0, order).points
+    table = build_detector(points, h, b)
+    lo, hi = _acceptance_intervals(table)
+
+    t = table.thresholds
+    z = np.concatenate(
+        [[0.0], t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf), table.magnitudes, extra_z]
+    )
+    z = z[z >= 0.0]
+    detected = detect(table, z)
+    for s in range(order):
+        outside = (z <= lo[s]) | (z > hi[s])
+        np.testing.assert_array_equal(outside, detected != s)
+        assert np.count_nonzero(outside) == np.count_nonzero(detect(table, z) != s)

@@ -13,15 +13,29 @@ from loamsim import (
     SweepConfig,
     ThresholdRatioReference,
     ZeroReference,
+    build_detector,
     design_loam,
     run_sweep,
     ser_points_to_csv,
     ser_points_to_json,
+    snr_db_to_sigma2,
     strong_reference_threshold,
     sweep_config_from_dict,
     theoretical_ser_asymptotic,
 )
-from loamsim.simulate import _loam_fading_design, _loam_fading_levels
+from loamsim.constellations import SCHEMES
+from loamsim.detector import _acceptance_intervals
+from loamsim.simulate import (
+    _CHUNK,
+    _baseline_fading_errors,
+    _block_rng,
+    _fixed_block,
+    _loam_fading_design,
+    _loam_fading_levels,
+    _loam_fading_outside,
+    _rayleigh_block,
+    _scheme_points,
+)
 
 
 def sweep(schemes, order=4, snrs=(40.0,), trials=100_000, seed=99, h=1.0 + 0j,
@@ -194,6 +208,149 @@ def test_fading_levels_match_design_loam(regime, order):
         np.testing.assert_allclose(levels[k], magnitudes, rtol=1e-12, atol=1e-12 * magnitudes[-1])
 
 
+# ---------------------------------------------------------------------------
+# block kernels against the detection rules they replace
+# ---------------------------------------------------------------------------
+
+def _searchsorted_fixed_errors(rng, n, sigma2, mu, table):
+    """Fixed-channel block: detect every trial by searchsorted, then compare.
+
+    Returns the error count and the observations z.
+    """
+    symbols = rng.integers(0, mu.size, size=n)
+    n_re, n_im = rng.standard_normal(n), rng.standard_normal(n)
+    z = np.abs(mu[symbols] + (n_re + 1j * n_im) * math.sqrt(sigma2 / 2.0))
+    slots = np.searchsorted(table.thresholds, z, side="left")
+    return int(np.count_nonzero(table.decision_index[slots] != symbols)), z
+
+
+def _one_shot_baseline_errors(symbols, h, b, noise, points):
+    """Fading baseline detection on the whole trials x M matrix at once."""
+    mu = h[:, None] * points[None, :] + b[:, None]
+    z = np.abs(mu[np.arange(symbols.size), symbols] + noise)
+    detected = np.argmin(np.abs(z[:, None] - np.abs(mu)), axis=1)
+    return int(np.count_nonzero(detected != symbols)), z
+
+
+def _midpoint_count_errors(symbols, h, b, noise, power, order):
+    """Fading LOAM detection by counting each trial's midpoints below z."""
+    ray, c_mag, rho0, d = _loam_fading_design(h, b, power, order)
+    z = np.abs(h * ray * (c_mag - (rho0 + symbols * d)) + b + noise)
+    levels = _loam_fading_levels(h, rho0, d, order)
+    mids = 0.5 * (levels[:, :-1] + levels[:, 1:])
+    return int(np.count_nonzero(np.sum(z[:, None] > mids, axis=1) != symbols)), z
+
+
+def _full_matrix_rayleigh_errors(rng, n, sigma2, order, power, scheme, reference_mode):
+    """Fading block with every temporary allocated and n x M detection.
+
+    Returns the error count and the observations z.
+    """
+    symbols = rng.integers(0, order, size=n)
+    h = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2.0)
+    if isinstance(reference_mode, ThresholdRatioReference):
+        h_mag = np.maximum(np.abs(h), 1e-300)
+        mag = np.sqrt(reference_mode.ratio * strong_reference_threshold(power, order, h_mag))
+        b = mag * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=n))
+    else:
+        b = np.full(n, complex(reference_mode.b))
+    noise = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * math.sqrt(sigma2 / 2.0)
+    if scheme == "loam":
+        return _midpoint_count_errors(symbols, h, b, noise, power, order)
+    return _one_shot_baseline_errors(symbols, h, b, noise, SCHEMES[scheme](power, order).points)
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+@pytest.mark.parametrize("ratio", [0.0, 1.0 / 3.0, 2.0])
+def test_fixed_block_matches_searchsorted_detection(scheme, ratio):
+    """Interval counts equal searchsorted detection, folded zero-reference alphabets too."""
+    h = complex(0.9 * np.exp(0.7j))
+    order = 16
+    b = math.sqrt(ratio * strong_reference_threshold(1.0, order, abs(h)))
+    state = ChannelState(h=h, b=b, power=1.0, order=order)
+    points = _scheme_points(scheme, state)
+    table = build_detector(points, h, b)
+    lo, hi = _acceptance_intervals(table)
+    mu = h * points + b
+    buffers = {}  # shared by every block, as within one worker
+    for block, (n, snr) in enumerate([(1000, 10.0), (16384, 0.0), (16384, 25.0), (777, 40.0)]):
+        sigma2 = snr_db_to_sigma2(snr, state)
+        got = _fixed_block(_block_rng(5, 1, 2, block), n, sigma2, buffers, mu, lo, hi)
+        want, z = _searchsorted_fixed_errors(_block_rng(5, 1, 2, block), n, sigma2, mu, table)
+        assert got == want
+        np.testing.assert_array_equal(buffers["z"][:n], z)
+
+
+@pytest.mark.parametrize("order", [2, 4, 64])
+def test_loam_fading_interval_matches_midpoint_count(order):
+    """mid(s-1) < z <= mid(s) is the midpoint count, for z on and beside midpoints."""
+    rng = np.random.default_rng(order)
+    n = 3000
+    power = 1.5
+    h = (rng.normal(size=n) + 1j * rng.normal(size=n)) / math.sqrt(2.0)
+    ratio = rng.choice([0.0, 0.3, 1.0, 3.0], size=n)
+    threshold = strong_reference_threshold(power, order, np.abs(h))
+    b = np.sqrt(ratio * threshold) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, n))
+    _, _, rho0, d = _loam_fading_design(h, b, power, order)
+    levels = _loam_fading_levels(h, rho0, d, order)
+    mids = 0.5 * (levels[:, :-1] + levels[:, 1:])
+    symbols = rng.integers(0, order, size=n)
+    rows = np.arange(n)
+    near = mids[rows, np.clip(symbols - rng.integers(0, 2, size=n), 0, order - 2)]
+    anywhere = mids[rows, rng.integers(0, order - 1, size=n)]
+    buffers = {}
+    for z in (
+        near, np.nextafter(near, -np.inf), np.nextafter(near, np.inf), anywhere,
+        levels[rows, symbols], rng.uniform(0.0, 1.2, size=n) * levels[:, -1],
+    ):
+        want = np.sum(z[:, None] > mids, axis=1) != symbols
+        got = _loam_fading_outside(z, symbols, h, rho0, d, order, buffers)
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("scheme,order", [("pam", 4), ("qam", 16), ("psk", 64)])
+def test_baseline_fading_chunks_match_one_shot_detection(scheme, order):
+    """Row chunks detect as the whole matrix does, over several chunks and a remainder."""
+    rng = np.random.default_rng(order)
+    n = 2 * (_CHUNK // order) + 37
+    h = (rng.normal(size=n) + 1j * rng.normal(size=n)) / math.sqrt(2.0)
+    b = 0.4 * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, n))
+    symbols = rng.integers(0, order, size=n)
+    points = SCHEMES[scheme](1.0, order).points
+    buffers = {}
+    for sigma in (0.3, 0.03, 0.003):
+        noise = sigma * (rng.normal(size=n) + 1j * rng.normal(size=n))
+        for m in (n, n - 37, 37):
+            got = _baseline_fading_errors(symbols[:m], h[:m], b[:m], noise[:m], points, buffers)
+            want, _ = _one_shot_baseline_errors(symbols[:m], h[:m], b[:m], noise[:m], points)
+            assert got == want
+
+
+@pytest.mark.parametrize("order", [4, 16, 64])
+@pytest.mark.parametrize(
+    "reference",
+    [ZeroReference(), FixedReference(b=0.8 - 0.3j)]
+    + [ThresholdRatioReference(ratio=r) for r in (0.0, 1.0 / 3.0, 1.0, 2.0)],
+)
+def test_rayleigh_block_matches_full_matrix_kernel(reference, order):
+    """Same draws, observations and errors as the kernel allocating every temporary."""
+    buffers = {}
+    for si, scheme in enumerate(sorted(SCHEMES)):
+        for block, (n, snr) in enumerate([(3001, 10.0), (1000, 30.0)]):
+            sigma2 = 10.0 ** (-snr / 10.0)
+            got = _rayleigh_block(
+                _block_rng(9, si, order, block), n, sigma2, buffers, order, 1.0,
+                None if scheme == "loam" else SCHEMES[scheme](1.0, order).points, reference,
+            )
+            want, z = _full_matrix_rayleigh_errors(
+                _block_rng(9, si, order, block), n, sigma2, order, 1.0, scheme, reference
+            )
+            assert got == want
+            # The z buffer holds the whole block for LOAM, the last row chunk otherwise.
+            last = n if scheme == "loam" else (n - 1) % (_CHUNK // order) + 1
+            np.testing.assert_array_equal(buffers["z"][:last], z[n - last:])
+
+
 def test_rayleigh_deterministic_across_workers():
     kwargs = dict(schemes=["loam", "psk"], snrs=(10.0,), trials=25_000, seed=3,
                   channel=RayleighPerTrial(), reference=ThresholdRatioReference(ratio=1.0))
@@ -266,6 +423,18 @@ def test_config_reports_offending_key_path():
         ("library", {"power": float("inf")}, "power"),
         ("library", {"reference_mode": ThresholdRatioReference(ratio=True)},
          "reference_mode.ratio"),
+        # Integers JSON allows but no float can hold.
+        ("json", {"snr_grid_db": [10**400, 10]}, "snr_grid_db[0]"),
+        ("json", {"power": 10**400}, "power"),
+        ("json", {"channel_mode": {"mode": "fixed_channel", "h": [10**400, 0]}},
+         "channel_mode.h"),
+        ("json", {"reference_mode": {"mode": "fixed_value", "b": [0, -10**400]}},
+         "reference_mode.b"),
+        ("json", {"reference_mode": {"mode": "threshold_ratio", "ratio": 10**400}},
+         "reference_mode.ratio"),
+        ("library", {"snr_grid_db": (0, -10**400)}, "snr_grid_db[1]"),
+        ("library", {"power": 10**400}, "power"),
+        ("library", {"channel_mode": FixedChannel(h=10**400)}, "channel_mode.h"),
     ],
 )
 def test_config_rejects_bools_and_non_finite_numbers(source, overrides, path):
