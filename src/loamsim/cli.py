@@ -91,7 +91,7 @@ def _cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
-def _verify_checks(order: int, steps: int, grid: int, scenarios: int, seed: int):
+def _verify_checks(order: int, grid: int, scenarios: int, seed: int):
     """Yield (name, passed, detail) tuples for the verification report."""
     rng = np.random.default_rng(seed)
     regimes = ("lo-free", "weak", "strong")
@@ -108,9 +108,9 @@ def _verify_checks(order: int, steps: int, grid: int, scenarios: int, seed: int)
             state = ChannelState(h=complex(h), b=complex(b), power=power, order=order)
             outcome = design_loam(state)
             expected = effective_min_distance(outcome.points, state.h, state.b)
-            found = oracle_ray_search(state, steps=steps, seed=seed + case).min_distance
+            found = oracle_ray_search(state).min_distance
             rel_gap = (found - expected) / expected
-            ok = -1e-2 <= rel_gap <= 1e-3
+            ok = abs(rel_gap) <= 1e-9
             yield (
                 f"ray-search vs closed-form spacing [{regime} #{case}]",
                 ok,
@@ -142,7 +142,7 @@ def _verify_checks(order: int, steps: int, grid: int, scenarios: int, seed: int)
                 f"max_off_ray={off_ray:.4g} tolerance={0.02 * math.sqrt(power):.4g}",
             )
             state = ChannelState(h=complex(h), b=complex(b), power=power, order=order)
-            ray = oracle_ray_search(state, steps=steps, seed=seed + case).min_distance
+            ray = oracle_ray_search(state).min_distance
             ok2 = result.min_distance <= ray * (1.0 + 1e-2)
             yield (
                 f"free-search vs ray-search [#{case}]",
@@ -151,11 +151,15 @@ def _verify_checks(order: int, steps: int, grid: int, scenarios: int, seed: int)
             )
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
+    if args.order < 2:
+        parser.error(f"--order must be >= 2, got {args.order}")
+    if args.grid < 50:
+        parser.error(f"--grid must be >= 50, got {args.grid}")
+    if args.scenarios < 1:
+        parser.error(f"--scenarios must be >= 1, got {args.scenarios}")
     all_ok = True
-    for name, ok, detail in _verify_checks(
-        args.order, args.steps, args.grid, args.scenarios, args.seed
-    ):
+    for name, ok, detail in _verify_checks(args.order, args.grid, args.scenarios, args.seed):
         tag = "PASS" if ok else "FAIL"
         all_ok = all_ok and ok
         sys.stdout.write(f"{tag} {name}: {detail}\n")
@@ -196,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run brute-force design verification")
     p_verify.add_argument("--order", type=int, default=4)
-    p_verify.add_argument("--steps", type=int, default=1500, help="ray-search line grid size")
     p_verify.add_argument("--grid", type=int, default=60, help="free-search grid per axis")
     p_verify.add_argument("--scenarios", type=int, default=3, help="scenarios per regime")
     p_verify.add_argument("--seed", type=int, default=0)
@@ -210,7 +213,7 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_design(args, parser)
     if args.command == "sweep":
         return _cmd_sweep(args, parser)
-    return _cmd_verify(args)
+    return _cmd_verify(args, parser)
 
 
 if __name__ == "__main__":

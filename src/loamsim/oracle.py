@@ -1,14 +1,28 @@
-"""Brute-force verification searches, independent of the closed-form designer.
+"""Verification searches, independent of the closed-form designer.
 
 Two searches back the designer's claims:
 
-* oracle_ray_search optimizes M real offsets along the line through the
-  origin and the null point c = -b/h (multi-start cyclic coordinate ascent
-  with grid line searches and a global rescale move), maximizing the minimum
-  pairwise gap between received magnitudes under the power budget.
+* oracle_ray_search finds the exact maximum of the minimum pairwise gap
+  between received magnitudes over M real offsets along the line through
+  the origin and the null point, under the power budget.
 * oracle_free_search_m2 drops the co-linearity assumption entirely and
   searches both points of an M = 2 alphabet over the full complex plane
   (coarse grid plus coordinate refinement), which is tractable only at M = 2.
+
+The ray search works in the frame where the null point sits at
+c = |b|/|h| >= 0 on the real axis, so an offset u is received at |h|*|u - c|.
+
+* Reformulation. Sort any offsets u by radius r_k = |u_k - c|. Their
+  minimum radius gap is >= d exactly when r_k = q_k + k*d with
+  0 <= q_0 <= ... <= q_{M-1}.
+* Sign lemma. (c + r)^2 - (c - r)^2 = 4*c*r >= 0, so for each radius the
+  offset nearer the origin, u_k = c - r_k, never costs more power. No sign
+  pattern over the radii needs to be searched.
+* Power bound. The least power at spacing d is therefore the bounded
+  isotonic regression of y_k = c - k*d onto {0 <= q_0 <= ... <= q_{M-1}},
+  which pool adjacent violators solves exactly.
+* Spacing. That power is nondecreasing in d, since a design meeting gap d
+  meets every smaller gap, so bisection finds the largest d within budget.
 
 Neither search consults the closed forms it is used to certify.
 """
@@ -50,146 +64,61 @@ class FreeSearchResult(NamedTuple):
     x1: complex
 
 
-def _min_gap(values: np.ndarray) -> float:
-    v = np.sort(values)
-    return float(np.min(np.diff(v)))
+def _nonneg_isotonic(y: np.ndarray) -> np.ndarray:
+    """Least-squares fit of y by 0 <= q_0 <= ... <= q_{M-1}.
 
-
-def _radii_gap(offsets: np.ndarray, c_mag: float) -> float:
-    return _min_gap(np.abs(offsets - c_mag))
-
-
-def _saturate_affine(base: np.ndarray, direction: np.ndarray, power: float):
-    """Largest g >= 0 with mean((base + g*direction)^2) == power, or None.
-
-    Start patterns for the ray search are affine in their scale, so the
-    power-saturating scale is the larger root of a quadratic.
+    Pool adjacent violators (Barlow, Bartholomew, Bremner & Brunk 1972) gives
+    the nondecreasing fit; under a simple order, clipping it at the bound
+    gives the bounded fit (Best & Chakravarti, Math. Prog. 1990).
     """
-    a = float(np.mean(direction**2))
-    b = 2.0 * float(np.mean(base * direction))
-    c = float(np.mean(base**2)) - power
-    if a <= 0:
-        return None
-    disc = b * b - 4.0 * a * c
-    if disc < 0:
-        return None
-    g = (-b + math.sqrt(disc)) / (2.0 * a)
-    if g <= 0:
-        return None
-    return base + g * direction
+    sums, sizes = [], []
+    for value in y.tolist():
+        total, size = value, 1
+        # Merge while the previous block's mean exceeds this block's.
+        while sums and sums[-1] / sizes[-1] > total / size:
+            total += sums.pop()
+            size += sizes.pop()
+        sums.append(total)
+        sizes.append(size)
+    return np.maximum(np.repeat(np.divide(sums, sizes), sizes), 0.0)
 
 
-def _line_search(offsets, k, c_mag, power, bound, grid_points):
-    """Best value for offsets[k] with the others fixed; returns (gap, t)."""
-    others = np.delete(offsets, k)
-    other_radii = np.abs(others - c_mag)
-    base_gap = _min_gap(other_radii) if other_radii.size >= 2 else math.inf
-    slack = len(offsets) * power - float(np.sum(others**2))
-    t_max = min(bound, math.sqrt(max(slack, 0.0)))
+def _least_power_offsets(c_mag: float, spacing: float, order: int) -> np.ndarray:
+    """Offsets of least power whose radii about c_mag are >= spacing apart.
 
-    lo, hi = -t_max, t_max
-    best_gap, best_t = -math.inf, offsets[k]
-    for _ in range(4):  # coarse grid then three zooms
-        grid = np.linspace(lo, hi, grid_points)
-        cand = np.abs(grid - c_mag)
-        gap_to_others = np.min(np.abs(cand[:, None] - other_radii[None, :]), axis=1)
-        f = np.minimum(gap_to_others, base_gap)
-        j = int(np.argmax(f))
-        if f[j] > best_gap:
-            best_gap, best_t = float(f[j]), float(grid[j])
-        step = (hi - lo) / (grid_points - 1)
-        lo = max(-t_max, grid[j] - 2 * step)
-        hi = min(t_max, grid[j] + 2 * step)
-        grid_points = 65
-    return best_gap, best_t
-
-
-def _rescale_search(offsets, c_mag, power):
-    """Best uniform rescale t*offsets within the power budget; (gap, scaled)."""
-    pw = float(np.mean(offsets**2))
-    if pw <= 0:
-        return -math.inf, offsets
-    t_hi = math.sqrt(power / pw)
-    lo, hi = 0.25, t_hi
-    best_gap, best_u = -math.inf, offsets
-    for _ in range(3):
-        scales = np.linspace(lo, hi, 257)
-        radii = np.abs(scales[:, None] * offsets[None, :] - c_mag)
-        radii.sort(axis=1)
-        f = np.min(np.diff(radii, axis=1), axis=1)
-        j = int(np.argmax(f))
-        if f[j] > best_gap:
-            best_gap, best_u = float(f[j]), scales[j] * offsets
-        step = (hi - lo) / 256
-        lo = max(0.0, scales[j] - 2 * step)
-        hi = min(t_hi, scales[j] + 2 * step)
-    return best_gap, best_u
-
-
-def oracle_ray_search(
-    state: ChannelState,
-    steps: int = 1500,
-    seed: int = 0,
-    random_starts: int = 4,
-) -> RaySearchResult:
-    """Maximize the min pairwise magnitude gap over offsets along the ray.
-
-    Offsets live in the rotated frame where the null point sits at +|c| on
-    the real axis; they may take either sign within [-2*sqrt(M*P),
-    2*sqrt(M*P)]. Deterministic for a fixed seed.
-
-    Returns the best found (min_distance in receive units, offsets).
+    By the sign lemma each offset sits at c_mag - r_k, and with
+    r_k = q_k + k*spacing the offset is y_k - q_k for y_k = c_mag - k*spacing.
     """
-    if steps < 10:
-        raise ValueError("steps must be >= 10")
+    y = c_mag - spacing * np.arange(order)
+    return y - _nonneg_isotonic(y)
+
+
+def oracle_ray_search(state: ChannelState, steps=None, seed=None) -> RaySearchResult:
+    """Largest min pairwise magnitude gap over offsets along the ray.
+
+    Bisects the spacing d over [0, 2*sqrt(M*P)/(M-1)] on the exact minimum
+    power at d until the floating-point bracket stops shrinking. No radius
+    gap can exceed that upper end: every |u_k| <= sqrt(M*P), so radii span
+    at most 2*sqrt(M*P). `steps` and `seed` are accepted for compatibility
+    and unused; the search is exact and deterministic.
+
+    Returns (min_distance in receive units, offsets in the rotated frame).
+    """
     order, power = state.order, state.power
     h_mag = abs(state.h)
     c_mag = abs(state.b) / h_mag
-    bound = 2.0 * math.sqrt(order * power)
-    rng = np.random.default_rng(seed)
-    idx = np.arange(order, dtype=float)
-
-    anchored = np.full(order, c_mag)
-    zero = np.zeros(order)
-    patterns = [
-        (anchored, -idx),  # anchored at c, walking inward
-        (zero, idx - (order - 1) / 2.0),  # centered on the origin
-        (anchored, idx),  # anchored at c, walking outward
-        (zero, idx),  # ramp from the origin
-    ]
-    starts = []
-    for base, direction in patterns:
-        u = _saturate_affine(base, direction, power)
-        if u is not None:
-            starts.append(u)
-    for _ in range(random_starts):
-        u = rng.uniform(-bound, bound, order)
-        pw = np.mean(u**2)
-        if pw > power:
-            u = u * math.sqrt(power / pw)
-        starts.append(u)
-
-    best_gap, best_u = -math.inf, starts[0]
-    for u in starts:
-        u = u.astype(float).copy()
-        gap = _radii_gap(u, c_mag)
-        for _ in range(60):
-            improved = False
-            for k in range(order):
-                cand_gap, cand_t = _line_search(u, k, c_mag, power, bound, steps)
-                if cand_gap > gap + 1e-14:
-                    u[k] = cand_t
-                    gap = cand_gap
-                    improved = True
-            s_gap, s_u = _rescale_search(u, c_mag, power)
-            if s_gap > gap + 1e-14:
-                u, gap = s_u, s_gap
-                improved = True
-            if not improved:
-                break
-        if gap > best_gap:
-            best_gap, best_u = gap, u
-    return RaySearchResult(min_distance=h_mag * best_gap, offsets=best_u)
+    lo, hi = 0.0, 2.0 * math.sqrt(order * power) / (order - 1)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if np.mean(_least_power_offsets(c_mag, mid, order) ** 2) <= power:
+            lo = mid
+        else:
+            hi = mid
+    return RaySearchResult(
+        min_distance=h_mag * lo, offsets=_least_power_offsets(c_mag, lo, order)
+    )
 
 
 def oracle_free_search_m2(h, b, power: float, grid: int = 60) -> FreeSearchResult:

@@ -176,7 +176,11 @@ class SweepConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "schemes", tuple(self.schemes))
-        snrs = tuple(_as_float(s, f"snr_grid_db[{i}]") for i, s in enumerate(self.snr_grid_db))
+        # Only numbers are converted; validate reports any other entry by path.
+        snrs = tuple(
+            _as_float(s, f"snr_grid_db[{i}]") if _real(s) else s
+            for i, s in enumerate(self.snr_grid_db)
+        )
         object.__setattr__(self, "snr_grid_db", snrs)
 
     def validate(self) -> None:

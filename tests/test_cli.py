@@ -163,21 +163,37 @@ def test_sweep_rejects_bad_json(tmp_path):
 
 
 def test_verify_m2_reports_collinearity():
-    result = run_cli(
-        "verify", "--order", "2", "--steps", "200", "--scenarios", "1", "--seed", "7"
-    )
+    result = run_cli("verify", "--order", "2", "--scenarios", "1", "--seed", "7")
     assert result.returncode == 0
     assert "free-search collinearity" in result.stdout
     assert "FAIL" not in result.stdout
 
 
 def test_verify_m4_reports_spacing_check():
-    result = run_cli("verify", "--order", "4", "--steps", "400", "--scenarios", "1")
+    result = run_cli("verify", "--order", "4", "--scenarios", "1")
     assert result.returncode == 0
     assert "ray-search vs closed-form spacing" in result.stdout
     assert "FAIL" not in result.stdout
 
 
 def test_verify_deterministic():
-    args = ("verify", "--order", "4", "--steps", "300", "--scenarios", "1", "--seed", "7")
+    args = ("verify", "--order", "4", "--scenarios", "1", "--seed", "7")
     assert run_cli(*args).stdout == run_cli(*args).stdout
+
+
+@pytest.mark.parametrize(
+    "args,flag",
+    [
+        (("--order", "1"), "--order"),
+        (("--order", "0"), "--order"),
+        (("--order", "2", "--grid", "10"), "--grid"),
+        (("--scenarios", "0"), "--scenarios"),
+        (("--scenarios", "-2"), "--scenarios"),
+        (("--steps", "200"), "--steps"),  # retired: the ray search is exact
+    ],
+)
+def test_verify_rejects_bad_arguments(args, flag):
+    result = run_cli("verify", *args)
+    assert result.returncode == 2
+    assert flag in result.stderr
+    assert result.stdout == ""

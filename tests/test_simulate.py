@@ -435,6 +435,10 @@ def test_config_reports_offending_key_path():
         ("library", {"snr_grid_db": (0, -10**400)}, "snr_grid_db[1]"),
         ("library", {"power": 10**400}, "power"),
         ("library", {"channel_mode": FixedChannel(h=10**400)}, "channel_mode.h"),
+        # Entries that are not numbers reach validate unconverted.
+        ("library", {"snr_grid_db": (True,)}, "snr_grid_db[0]"),
+        ("library", {"snr_grid_db": (0, "x")}, "snr_grid_db[1]"),
+        ("library", {"snr_grid_db": (None,)}, "snr_grid_db[0]"),
     ],
 )
 def test_config_rejects_bools_and_non_finite_numbers(source, overrides, path):
