@@ -4,7 +4,7 @@ An envelope receiver observes z = |h*x + b + n| and loses the phase of the
 incident field. This package designs the max-min-distance constellation for
 that observation model (adapting to the channel gain h and the reference
 signal b), provides PAM/QAM/PSK baselines, a nearest-magnitude detector,
-brute-force verification oracles, and a deterministic parallel Monte-Carlo
+exact verification oracles, and a deterministic parallel Monte-Carlo
 symbol-error-rate engine.
 """
 
@@ -28,7 +28,6 @@ from .constellations import (
     gen_psk,
     gen_qam,
     mean_power,
-    spacing_anchor,
     spacing_strong,
     spacing_weak,
     strong_reference_threshold,
@@ -69,7 +68,6 @@ __all__ = [
     "classify_regime",
     "strong_reference_threshold",
     "spacing_strong",
-    "spacing_anchor",
     "spacing_weak",
     "design_loam",
     "gen_pam",

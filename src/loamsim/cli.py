@@ -7,6 +7,7 @@ stderr. Exit codes: 0 success, 2 usage error, 1 runtime failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -91,7 +92,7 @@ def _cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
-def _verify_checks(order: int, grid: int, scenarios: int, seed: int):
+def _verify_checks(order: int, scenarios: int, seed: int):
     """Yield (name, passed, detail) tuples for the verification report."""
     rng = np.random.default_rng(seed)
     regimes = ("lo-free", "weak", "strong")
@@ -130,36 +131,34 @@ def _verify_checks(order: int, grid: int, scenarios: int, seed: int):
             b = math.sqrt(rng.uniform(0.05, 2.0) * threshold) * np.exp(
                 1j * rng.uniform(0.0, 2 * math.pi)
             )
-            result = oracle_free_search_m2(complex(h), complex(b), power, grid=grid)
+            result = oracle_free_search_m2(complex(h), complex(b), power)
             ray_dir = np.exp(-1j * np.angle(-b / h))
             off_ray = max(
                 abs((result.x0 * ray_dir).imag), abs((result.x1 * ray_dir).imag)
             )
-            ok = off_ray < 0.02 * math.sqrt(power)
+            tolerance = 1e-9 * math.sqrt(power)
             yield (
                 f"free-search collinearity [#{case}]",
-                ok,
-                f"max_off_ray={off_ray:.4g} tolerance={0.02 * math.sqrt(power):.4g}",
+                off_ray <= tolerance,
+                f"max_off_ray={off_ray:.4g} tolerance={tolerance:.4g}",
             )
             state = ChannelState(h=complex(h), b=complex(b), power=power, order=order)
             ray = oracle_ray_search(state).min_distance
-            ok2 = result.min_distance <= ray * (1.0 + 1e-2)
+            rel_gap = (result.min_distance - ray) / ray
             yield (
                 f"free-search vs ray-search [#{case}]",
-                ok2,
-                f"free={result.min_distance:.6g} ray={ray:.6g}",
+                abs(rel_gap) <= 1e-9,
+                f"free={result.min_distance:.6g} ray={ray:.6g} rel_gap={rel_gap:.2e}",
             )
 
 
 def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
     if args.order < 2:
         parser.error(f"--order must be >= 2, got {args.order}")
-    if args.grid < 50:
-        parser.error(f"--grid must be >= 50, got {args.grid}")
     if args.scenarios < 1:
         parser.error(f"--scenarios must be >= 1, got {args.scenarios}")
     all_ok = True
-    for name, ok, detail in _verify_checks(args.order, args.grid, args.scenarios, args.seed):
+    for name, ok, detail in _verify_checks(args.order, args.scenarios, args.seed):
         tag = "PASS" if ok else "FAIL"
         all_ok = all_ok and ok
         sys.stdout.write(f"{tag} {name}: {detail}\n")
@@ -185,6 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_design.add_argument("--order", type=int, required=True)
     p_design.add_argument("--scheme", choices=tuple(SCHEMES), default="loam")
     p_design.add_argument("--out", default=None, help="write JSON here instead of stdout")
+    p_design.set_defaults(run=functools.partial(_cmd_design, parser=p_design))
 
     p_sweep = sub.add_parser("sweep", help="run a Monte-Carlo SER sweep from a JSON config")
     p_sweep.add_argument("config", help="path to the sweep config (JSON)")
@@ -197,23 +197,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker threads, >= 1; output does not depend on it "
         "(default: one per CPU this process may run on)",
     )
+    p_sweep.set_defaults(run=functools.partial(_cmd_sweep, parser=p_sweep))
 
-    p_verify = sub.add_parser("verify", help="run brute-force design verification")
+    p_verify = sub.add_parser("verify", help="check designs against the exact search oracles")
     p_verify.add_argument("--order", type=int, default=4)
-    p_verify.add_argument("--grid", type=int, default=60, help="free-search grid per axis")
     p_verify.add_argument("--scenarios", type=int, default=3, help="scenarios per regime")
     p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.set_defaults(run=functools.partial(_cmd_verify, parser=p_verify))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "design":
-        return _cmd_design(args, parser)
-    if args.command == "sweep":
-        return _cmd_sweep(args, parser)
-    return _cmd_verify(args, parser)
+    # Each subcommand runs with its own parser, so usage errors print its usage.
+    return args.run(args)
 
 
 if __name__ == "__main__":

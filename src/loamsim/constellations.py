@@ -34,13 +34,11 @@ __all__ = [
     "classify_regime",
     "strong_reference_threshold",
     "spacing_strong",
-    "spacing_anchor",
     "spacing_weak",
     "design_loam",
     "gen_pam",
     "gen_psk",
     "gen_qam",
-    "SCHEMES",
     "mean_power",
     "design_to_json",
     "constellation_to_json",
@@ -144,43 +142,16 @@ def spacing_strong(power: float, order: int) -> float:
     return math.sqrt(12.0 * power / (order**2 - 1))
 
 
-def _spacing_root(c_mag, power: float, order: int, sign: float = 1.0, sqrt=math.sqrt):
-    """Largest root d of (1/M) * sum_{i=0}^{M-1} (c_mag - sign*i*d)^2 = P.
+def _spacing_root(c_mag, power: float, order: int, sqrt=math.sqrt):
+    """Largest root d of (1/M) * sum_{i=0}^{M-1} (c_mag - i*d)^2 = P.
 
-    sign = 1 walks from the anchor toward the origin, sign = -1 away from it.
     With sqrt=np.sqrt it works elementwise on an array of c_mag, whose
     discriminants the caller guarantees to be non-negative.
     """
     a = (order - 1) * (2 * order - 1) / 6.0
-    lin = sign * c_mag * (order - 1)
+    lin = c_mag * (order - 1)
     disc = lin**2 - 4.0 * a * (c_mag**2 - power)
     return (lin + sqrt(disc)) / (2.0 * a)
-
-
-def _anchored_spacing(c_mag: float, power: float, order: int, sign: float) -> float:
-    _check_budget(power, order)
-    c_mag = float(c_mag)
-    if c_mag < 0:
-        raise ValueError("c_mag must be >= 0")
-    try:
-        d = _spacing_root(c_mag, power, order, sign)
-    except ValueError:  # math.sqrt of a negative discriminant
-        d = 0.0
-    if d <= 0:
-        raise InfeasibleDesignError(
-            f"no positive spacing for anchor {c_mag} under power {power}"
-        )
-    return d
-
-
-def spacing_anchor(c_mag: float, power: float, order: int) -> float:
-    """Positive root of the outward anchored power equation.
-
-    Solves (1/M) * sum_{i=0}^{M-1} (c_mag + i*d)^2 = P for d > 0: the spacing
-    of a design anchored at distance c_mag from the origin and extending away
-    from it, saturating the power budget.
-    """
-    return _anchored_spacing(c_mag, power, order, -1.0)
 
 
 def spacing_weak(c_mag: float, power: float, order: int) -> float:
@@ -189,10 +160,22 @@ def spacing_weak(c_mag: float, power: float, order: int) -> float:
     Solves (1/M) * sum_{i=0}^{M-1} (c_mag - i*d)^2 = P for the largest d > 0:
     the spacing of a design anchored at distance c_mag from the origin and
     extending back toward it (and past it). Walking inward costs less power
-    than walking outward, so this root is never smaller than spacing_anchor
-    and the two coincide at c_mag = 0.
+    than walking outward, which is why the weak-regime design crosses the
+    origin; at c_mag = 0 the two directions coincide.
     """
-    return _anchored_spacing(c_mag, power, order, 1.0)
+    _check_budget(power, order)
+    c_mag = float(c_mag)
+    if c_mag < 0:
+        raise ValueError("c_mag must be >= 0")
+    try:
+        d = _spacing_root(c_mag, power, order)
+    except ValueError:  # math.sqrt of a negative discriminant
+        d = 0.0
+    if d <= 0:
+        raise InfeasibleDesignError(
+            f"no positive spacing for anchor {c_mag} under power {power}"
+        )
+    return d
 
 
 def design_loam(state: ChannelState) -> DesignOutcome:

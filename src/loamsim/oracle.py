@@ -6,8 +6,7 @@ Two searches back the designer's claims:
   between received magnitudes over M real offsets along the line through
   the origin and the null point, under the power budget.
 * oracle_free_search_m2 drops the co-linearity assumption entirely and
-  searches both points of an M = 2 alphabet over the full complex plane
-  (coarse grid plus coordinate refinement), which is tractable only at M = 2.
+  finds the exact optimum of an M = 2 alphabet over the full complex plane.
 
 The ray search works in the frame where the null point sits at
 c = |b|/|h| >= 0 on the real axis, so an offset u is received at |h|*|u - c|.
@@ -23,6 +22,23 @@ c = |b|/|h| >= 0 on the real axis, so an offset u is received at |h|*|u - c|.
   which pool adjacent violators solves exactly.
 * Spacing. That power is nondecreasing in d, since a design meeting gap d
   meets every smaller gap, so bisection finds the largest d within budget.
+
+The free search takes any pair with moduli rho_k = |x_k|,
+rho_0^2 + rho_1^2 <= 2P, labelled so that x_0 has the larger receive
+magnitude, and lets c = |b|/|h|.
+
+* Bound. By the triangle inequalities |h*x_0 + b| <= |h|*(rho_0 + c) and
+  |h*x_1 + b| >= |h|*max(c - rho_1, 0), so every gap is at most
+  |h|*min(rho_0 + rho_1, rho_0 + c).
+* Maximum. With t = min(rho_1, c) the bound is |h|*(rho_0 + t), where
+  rho_0 <= sqrt(2P - t^2) and t <= c. Since t + sqrt(2P - t^2) increases on
+  [0, sqrt(P)], the bound is largest at rho_1 = min(c, sqrt(P)) and
+  rho_0 = sqrt(2P - rho_1^2).
+* Attained. With u = (b/|b|)/(h/|h|) (u = 1 when b = 0), the pair
+  x_0 = rho_0*u, x_1 = -rho_1*u meets both triangle inequalities with
+  equality, so |h|*(rho_0 + rho_1) is the exact optimum. Both points lie on
+  the line through the origin and the null point: the equality conditions
+  prove the co-linearity that the ray search assumes.
 
 Neither search consults the closed forms it is used to certify.
 """
@@ -121,103 +137,25 @@ def oracle_ray_search(state: ChannelState, steps=None, seed=None) -> RaySearchRe
     )
 
 
-def oracle_free_search_m2(h, b, power: float, grid: int = 60) -> FreeSearchResult:
-    """Unconstrained two-point search over the complex plane.
+def oracle_free_search_m2(h, b, power: float, grid=None) -> FreeSearchResult:
+    """Largest gap between the two receive magnitudes of an M = 2 alphabet.
 
-    Coarse exhaustive grid over the disk of radius sqrt(2P) for both points,
-    followed by coordinate refinement of the four real coordinates. Makes no
-    co-linearity assumption.
+    Exact over every pair in the complex plane with mean power <= P, by the
+    triangle-inequality bound in the module docstring; no co-linearity is
+    assumed. `grid` is accepted for compatibility and unused. Invalid inputs
+    raise ValueError, as they do for ChannelState.
+
+    Returns (min_distance in receive units, x0, x1), with x0 received at the
+    larger magnitude.
     """
-    if grid < 50:
-        raise ValueError("grid must be >= 50 points per real dimension")
-    h = complex(h)
-    b = complex(b)
-    power = float(power)
-    radius = math.sqrt(2.0 * power)
-
-    axis = np.linspace(-radius, radius, grid)
-    pts = (axis[:, None] + 1j * axis[None, :]).ravel()
-    pts = pts[np.abs(pts) <= radius]
-    radii = np.abs(h * pts + b)
-    sq = np.abs(pts) ** 2
-
-    feasible = (sq[:, None] + sq[None, :]) <= 2.0 * power * _POWER_SLACK
-    gaps = np.abs(radii[:, None] - radii[None, :])
-    gaps[~feasible] = -1.0
-    i, j = np.unravel_index(np.argmax(gaps), gaps.shape)
-
-    # Refine in polar coordinates, one coordinate at a time. The power
-    # constraint separates over the two moduli, so every line search has an
-    # exact feasible bracket, and the angular searches are unconstrained.
-    rho = np.array([abs(pts[i]), abs(pts[j])])
-    theta = np.array([np.angle(pts[i]), np.angle(pts[j])])
-
-    def pair_points(r, t):
-        return r * np.exp(1j * t)
-
-    def gap_of(r, t):
-        z = np.abs(h * pair_points(r, t) + b)
-        return abs(float(z[0]) - float(z[1]))
-
-    best = gap_of(rho, theta)
-    for _ in range(60):
-        improved = False
-        for which in (0, 1):
-            r_fixed = abs(h * rho[1 - which] * np.exp(1j * theta[1 - which]) + b)
-
-            # angle sweep (full circle, then zoomed)
-            center, half, n_pts = float(theta[which]), math.pi, 1025
-            for _ in range(4):
-                angles = np.linspace(center - half, center + half, n_pts)
-                z = np.abs(h * rho[which] * np.exp(1j * angles) + b)
-                f = np.abs(z - r_fixed)
-                m = int(np.argmax(f))
-                if f[m] > best + 1e-14:
-                    best = float(f[m])
-                    theta[which] = float(angles[m])
-                    improved = True
-                center = float(angles[m])
-                half = 4.0 * half / (n_pts - 1)
-                n_pts = 65
-
-            # radius sweep within the power budget
-            r_cap = math.sqrt(max(2.0 * power - rho[1 - which] ** 2, 0.0))
-            lo, hi, n_pts = 0.0, r_cap, 1025
-            for _ in range(4):
-                rads = np.linspace(lo, hi, n_pts)
-                z = np.abs(h * rads * np.exp(1j * theta[which]) + b)
-                f = np.abs(z - r_fixed)
-                m = int(np.argmax(f))
-                if f[m] > best + 1e-14:
-                    best = float(f[m])
-                    rho[which] = float(rads[m])
-                    improved = True
-                step = (hi - lo) / (n_pts - 1)
-                lo = max(0.0, rads[m] - 2 * step)
-                hi = min(r_cap, rads[m] + 2 * step)
-                n_pts = 65
-
-        # joint radius split on the saturated power sphere; per-point moves
-        # alone stall when budget should shift between the points
-        r_tot = math.sqrt(2.0 * power)
-        lo, hi, n_pts = 0.0, math.pi / 2.0, 1025
-        for _ in range(4):
-            phis = np.linspace(lo, hi, n_pts)
-            z0 = np.abs(h * (r_tot * np.cos(phis)) * np.exp(1j * theta[0]) + b)
-            z1 = np.abs(h * (r_tot * np.sin(phis)) * np.exp(1j * theta[1]) + b)
-            f = np.abs(z0 - z1)
-            m = int(np.argmax(f))
-            if f[m] > best + 1e-14:
-                best = float(f[m])
-                rho[0] = r_tot * math.cos(float(phis[m]))
-                rho[1] = r_tot * math.sin(float(phis[m]))
-                improved = True
-            step = (hi - lo) / (n_pts - 1)
-            lo = max(0.0, phis[m] - 2 * step)
-            hi = min(math.pi / 2.0, phis[m] + 2 * step)
-            n_pts = 65
-        if not improved:
-            break
-
-    x0, x1 = pair_points(rho, theta)
-    return FreeSearchResult(min_distance=best, x0=complex(x0), x1=complex(x1))
+    state = ChannelState(h=h, b=b, power=power, order=2)
+    h, b, power = state.h, state.b, state.power
+    h_mag = abs(h)
+    c_mag = abs(b) / h_mag
+    rho1 = min(c_mag, math.sqrt(power))
+    rho0 = math.sqrt(2.0 * power - rho1 * rho1)
+    # Phase of b relative to h; any direction will do when b = 0.
+    u = (b / abs(b)) / (h / h_mag) if b else 1.0 + 0.0j
+    return FreeSearchResult(
+        min_distance=h_mag * (rho0 + rho1), x0=rho0 * u, x1=-rho1 * u
+    )

@@ -86,7 +86,7 @@ def test_criterion_2_free_search_collinearity():
     """Unconstrained M=2 optima lie on the ray through the null point."""
     rng = np.random.default_rng(202)
     start = time.monotonic()
-    worst = 0.0
+    worst_off = worst_rel = 0.0
     power = 1.0
     for _ in range(20):
         h = rng.uniform(0.25, 2.0) * np.exp(1j * rng.uniform(0, 2 * math.pi))
@@ -94,16 +94,20 @@ def test_criterion_2_free_search_collinearity():
         b = math.sqrt(rng.uniform(0.05, 2.0) * threshold) * np.exp(
             1j * rng.uniform(0, 2 * math.pi)
         )
-        result = oracle_free_search_m2(complex(h), complex(b), power, grid=60)
+        result = oracle_free_search_m2(complex(h), complex(b), power)
         ray = np.exp(-1j * np.angle(-b / h))
         off = max(abs((result.x0 * ray).imag), abs((result.x1 * ray).imag))
-        worst = max(worst, off)
+        worst_off = max(worst_off, off)
+        state = ChannelState(h=complex(h), b=complex(b), power=power, order=2)
+        on_ray = oracle_ray_search(state).min_distance
+        worst_rel = max(worst_rel, abs(result.min_distance - on_ray) / on_ray)
     elapsed = time.monotonic() - start
-    ok = worst < 0.02 * math.sqrt(power) and elapsed < 120.0
+    ok = worst_off <= 1e-9 * math.sqrt(power) and worst_rel <= 1e-9 and elapsed < 120.0
     _report(
         "criterion 2 (free-search collinearity, 20 scenarios)",
         ok,
-        f"max off-ray component {worst:.2e} (tol 2e-2), {elapsed:.1f}s",
+        f"max off-ray component {worst_off:.2e} (tol 1e-9), "
+        f"max |free - ray|/ray {worst_rel:.2e} (tol 1e-9), {elapsed:.1f}s",
     )
 
 

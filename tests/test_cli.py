@@ -48,6 +48,7 @@ def test_design_strong_reference_json():
 def test_design_rejects_order_one():
     result = run_cli("design", "--h-re", "1", "--power", "1", "--order", "1")
     assert result.returncode == 2
+    assert "usage: loamsim design" in result.stderr
     assert "order must be >= 2" in result.stderr
     assert result.stdout == ""
 
@@ -57,6 +58,7 @@ def test_design_rejects_non_square_qam():
         "design", "--h-re", "1", "--power", "1", "--order", "8", "--scheme", "qam"
     )
     assert result.returncode == 2
+    assert "usage: loamsim design" in result.stderr
     assert "square" in result.stderr
 
 
@@ -150,6 +152,7 @@ def test_sweep_rejects_threads_below_one(tmp_path, threads):
     cfg.write_text(json.dumps(CONFIG))
     result = run_cli("sweep", str(cfg), "--threads", threads)
     assert result.returncode == 2
+    assert "usage: loamsim sweep" in result.stderr
     assert "--threads" in result.stderr
     assert result.stdout == ""
 
@@ -166,6 +169,7 @@ def test_verify_m2_reports_collinearity():
     result = run_cli("verify", "--order", "2", "--scenarios", "1", "--seed", "7")
     assert result.returncode == 0
     assert "free-search collinearity" in result.stdout
+    assert "free-search vs ray-search" in result.stdout
     assert "FAIL" not in result.stdout
 
 
@@ -186,7 +190,7 @@ def test_verify_deterministic():
     [
         (("--order", "1"), "--order"),
         (("--order", "0"), "--order"),
-        (("--order", "2", "--grid", "10"), "--grid"),
+        (("--order", "2", "--grid", "10"), "--grid"),  # retired: the free search is exact
         (("--scenarios", "0"), "--scenarios"),
         (("--scenarios", "-2"), "--scenarios"),
         (("--steps", "200"), "--steps"),  # retired: the ray search is exact
@@ -196,4 +200,8 @@ def test_verify_rejects_bad_arguments(args, flag):
     result = run_cli("verify", *args)
     assert result.returncode == 2
     assert flag in result.stderr
+    if flag in ("--grid", "--steps"):
+        assert "unrecognized arguments" in result.stderr
+    else:
+        assert "usage: loamsim verify" in result.stderr
     assert result.stdout == ""

@@ -17,7 +17,6 @@ from loamsim import (
     gen_psk,
     gen_qam,
     mean_power,
-    spacing_anchor,
     spacing_strong,
     spacing_weak,
     strong_reference_threshold,
@@ -83,31 +82,17 @@ def _saturating_spacing_by_bisection(c_mag, power, order, inward):
     return lo
 
 
-def test_spacing_anchor_values():
-    assert spacing_anchor(0.0, 1.0, 2) == pytest.approx(math.sqrt(2.0), rel=1e-12)
-    assert spacing_anchor(0.0, 1.0, 4) == pytest.approx(math.sqrt(6.0 / 21.0), rel=1e-12)
-    # frozen from the bisection oracle below
-    assert spacing_anchor(0.6, 1.0, 4) == pytest.approx(0.24183569133065652, rel=1e-9)
-
-
-@pytest.mark.parametrize("c_mag,power,order", [(0.0, 1.0, 2), (0.0, 1.0, 4), (0.6, 1.0, 4), (0.3, 2.5, 8)])
-def test_spacing_anchor_matches_bisection(c_mag, power, order):
-    d = spacing_anchor(c_mag, power, order)
-    ref = _saturating_spacing_by_bisection(c_mag, power, order, inward=False)
-    assert d == pytest.approx(ref, rel=1e-9)
-
-
-def test_spacing_anchor_infeasible():
-    # anchoring outward at c already blows the budget when c^2 > P
-    with pytest.raises(InfeasibleDesignError):
-        spacing_anchor(1.2, 1.0, 4)
-
-
 @pytest.mark.parametrize("c_mag,power,order", [(0.0, 1.0, 4), (0.6, 1.0, 4), (1.2, 1.0, 4), (0.4, 0.7, 8)])
 def test_spacing_weak_matches_bisection(c_mag, power, order):
     d = spacing_weak(c_mag, power, order)
     ref = _saturating_spacing_by_bisection(c_mag, power, order, inward=True)
     assert d == pytest.approx(ref, rel=1e-9)
+
+
+def test_spacing_weak_infeasible():
+    # at M = 4 no inward root exists once c^2 > 2.8 P
+    with pytest.raises(InfeasibleDesignError):
+        spacing_weak(1.7, 1.0, 4)
 
 
 def test_spacing_weak_dominates_anchor():
@@ -117,13 +102,14 @@ def test_spacing_weak_dominates_anchor():
         power = float(rng.uniform(0.2, 4.0))
         order = int(rng.integers(2, 17))
         c_mag = float(rng.uniform(0.0, 0.99 * math.sqrt(power)))
-        assert spacing_weak(c_mag, power, order) >= spacing_anchor(c_mag, power, order) - 1e-12
+        outward = _saturating_spacing_by_bisection(c_mag, power, order, inward=False)
+        assert spacing_weak(c_mag, power, order) >= outward - 1e-12
 
 
 def test_spacing_weak_equals_anchor_at_origin():
     for order in (2, 4, 8):
         assert spacing_weak(0.0, 1.0, order) == pytest.approx(
-            spacing_anchor(0.0, 1.0, order), rel=1e-12
+            _saturating_spacing_by_bisection(0.0, 1.0, order, inward=False), rel=1e-12
         )
 
 

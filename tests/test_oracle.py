@@ -116,23 +116,23 @@ def test_ray_search_deterministic():
 
 
 def test_free_search_collinearity_strong():
-    result = oracle_free_search_m2(1.0, 2.0, 1.0, grid=60)
+    result = oracle_free_search_m2(1.0, 2.0, 1.0)
     ray = np.exp(-1j * np.angle(-2.0 / 1.0))
-    assert abs((result.x0 * ray).imag) < 0.02
-    assert abs((result.x1 * ray).imag) < 0.02
-    assert result.min_distance == pytest.approx(2.0, rel=1e-2)
+    assert abs((result.x0 * ray).imag) < 1e-9
+    assert abs((result.x1 * ray).imag) < 1e-9
+    assert result.min_distance == pytest.approx(2.0, rel=1e-12)
 
 
 def test_free_search_lo_free():
-    result = oracle_free_search_m2(1.0, 0.0, 1.0, grid=60)
-    assert result.min_distance == pytest.approx(math.sqrt(2.0), rel=1e-2)
+    result = oracle_free_search_m2(1.0, 0.0, 1.0)
+    assert result.min_distance == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
 
 def test_free_search_rotated_strong():
     h = complex(np.exp(1j * math.pi / 3))
     b = 2.0 * complex(np.exp(-1j * math.pi / 6))
-    result = oracle_free_search_m2(h, b, 1.0, grid=60)
-    assert result.min_distance == pytest.approx(2.0, rel=1e-2)
+    result = oracle_free_search_m2(h, b, 1.0)
+    assert result.min_distance == pytest.approx(2.0, rel=1e-12)
 
 
 def test_free_search_never_beats_ray_search():
@@ -144,11 +144,57 @@ def test_free_search_never_beats_ray_search():
             1j * rng.uniform(0, 2 * math.pi)
         )
         state = ChannelState(h=complex(h), b=complex(b), power=1.0, order=2)
-        free = oracle_free_search_m2(complex(h), complex(b), 1.0, grid=60)
+        free = oracle_free_search_m2(complex(h), complex(b), 1.0)
         ray = oracle_ray_search(state)
-        assert free.min_distance <= ray.min_distance * (1.0 + 1e-2)
+        assert free.min_distance == pytest.approx(ray.min_distance, rel=1e-9)
 
 
-def test_free_search_rejects_coarse_grid():
+@pytest.mark.parametrize("h,b,power", [(0.0, 1.0, 1.0), (1.0, math.nan, 1.0), (1.0, 1.0, -1.0)])
+def test_free_search_rejects_invalid_scenario(h, b, power):
     with pytest.raises(ValueError):
-        oracle_free_search_m2(1.0, 1.0, 1.0, grid=10)
+        oracle_free_search_m2(h, b, power)
+
+
+def _pair_gaps(h, b, x0, x1):
+    return np.abs(np.abs(h * x0 + b) - np.abs(h * x1 + b))
+
+
+def test_free_search_bound_holds_by_brute_force():
+    # Reference: every feasible pair of a 60 x 60 grid over the disk of
+    # radius sqrt(2P), and random feasible pairs with arbitrary phases.
+    # No pair may beat the oracle, and the oracle's own pair must be
+    # feasible and realise its gap.
+    rng = np.random.default_rng(53)
+    for ratio in (0.0, 0.0, 0.1, 0.3, 0.6, 0.9, 1.0, 1.5, 2.5, 4.0):
+        power = float(rng.uniform(0.5, 2.0))
+        h = complex(rng.uniform(0.25, 2.0) * np.exp(1j * rng.uniform(0, 2 * math.pi)))
+        # At M = 2 the regime threshold is P*|h|^2, so ratio > 1 is strong.
+        b = complex(math.sqrt(ratio * power) * abs(h) * np.exp(1j * rng.uniform(0, 2 * math.pi)))
+        result = oracle_free_search_m2(h, b, power)
+        bound = result.min_distance * (1.0 + 1e-12)
+
+        assert power_feasible([result.x0, result.x1], power)
+        assert _pair_gaps(h, b, result.x0, result.x1) == pytest.approx(
+            result.min_distance, rel=1e-12
+        )
+
+        radius = math.sqrt(2.0 * power)
+        axis = np.linspace(-radius, radius, 60)
+        pts = (axis[:, None] + 1j * axis[None, :]).ravel()
+        pts = pts[np.abs(pts) <= radius]
+        sq = np.abs(pts) ** 2
+        for lo in range(0, pts.size, 256):
+            rows = slice(lo, lo + 256)
+            gaps = _pair_gaps(h, b, pts[rows, None], pts[None, :])
+            feasible = sq[rows, None] + sq[None, :] <= 2.0 * power
+            assert gaps[feasible].max() <= bound
+
+        n = 100_000
+        # Half the moduli pairs on the power circle, half inside the disk.
+        scale = np.where(np.arange(n) % 2 == 0, 1.0, np.sqrt(rng.random(n)))
+        split = rng.uniform(0.0, math.pi / 2.0, n)
+        rho0 = radius * scale * np.cos(split)
+        rho1 = radius * scale * np.sin(split)
+        x0 = rho0 * np.exp(1j * rng.uniform(0, 2 * math.pi, n))
+        x1 = rho1 * np.exp(1j * rng.uniform(0, 2 * math.pi, n))
+        assert _pair_gaps(h, b, x0, x1).max() <= bound
