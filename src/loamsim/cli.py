@@ -7,7 +7,6 @@ stderr. Exit codes: 0 success, 2 usage error, 1 runtime failure.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import sys
@@ -184,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_design.add_argument("--order", type=int, required=True)
     p_design.add_argument("--scheme", choices=tuple(SCHEMES), default="loam")
     p_design.add_argument("--out", default=None, help="write JSON here instead of stdout")
-    p_design.set_defaults(run=functools.partial(_cmd_design, parser=p_design))
+    p_design.set_defaults(run=_cmd_design, parser=p_design)
 
     p_sweep = sub.add_parser("sweep", help="run a Monte-Carlo SER sweep from a JSON config")
     p_sweep.add_argument("config", help="path to the sweep config (JSON)")
@@ -197,21 +196,24 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker threads, >= 1; output does not depend on it "
         "(default: one per CPU this process may run on)",
     )
-    p_sweep.set_defaults(run=functools.partial(_cmd_sweep, parser=p_sweep))
+    p_sweep.set_defaults(run=_cmd_sweep, parser=p_sweep)
 
     p_verify = sub.add_parser("verify", help="check designs against the exact search oracles")
     p_verify.add_argument("--order", type=int, default=4)
     p_verify.add_argument("--scenarios", type=int, default=3, help="scenarios per regime")
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.set_defaults(run=functools.partial(_cmd_verify, parser=p_verify))
+    p_verify.set_defaults(run=_cmd_verify, parser=p_verify)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    # Each subcommand runs with its own parser, so usage errors print its usage.
-    return args.run(args)
+    args, extra = parser.parse_known_args(argv)
+    # Each subcommand reports usage errors, leftover arguments included,
+    # through its own parser, so they print its usage.
+    if extra:
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args.run(args, args.parser)
 
 
 if __name__ == "__main__":

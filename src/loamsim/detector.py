@@ -2,14 +2,20 @@
 
 Detecting argmin_i |z - r_i|^2 over nonnegative magnitudes r_i reduces to a
 nearest-neighbor search on the sorted magnitudes, which the detector performs
-with precomputed midpoint thresholds. Symbols whose magnitudes coincide are
-indistinguishable at the receiver; such tables carry an ambiguity flag and
-always resolve to the lowest-index member of the tied group, which gives the
-same average symbol error rate as random guessing under uniform symbols.
+with precomputed midpoint thresholds. `detect` locates a whole batch of
+observations by a branchless lockstep binary search: the thresholds are padded
+with +inf to one less than a power of two p, and each of the log2(p) passes
+(p is the smallest power of two above M-1) moves every observation's slot by
+the same stride. An observation landing exactly on a threshold goes to the
+lower slot. Symbols whose magnitudes coincide are indistinguishable at the
+receiver; such tables carry an ambiguity flag and always resolve to the
+lowest-index member of the tied group, which gives the same average symbol
+error rate as random guessing under uniform symbols.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -31,8 +37,8 @@ class DetectorTable:
         thresholds: midpoints between consecutive magnitudes (length M-1).
         ambiguous: True when two magnitudes coincide within tolerance.
         decision_index: symbol returned for each slot; equals symbol_index
-            except inside tied groups, which collapse to their lowest
-            original index.
+            (and is the same array when nothing is tied) except inside tied
+            groups, which collapse to their lowest original index.
     """
 
     magnitudes: np.ndarray
@@ -47,26 +53,30 @@ def build_detector(points, h, b) -> DetectorTable:
     pts = np.asarray(points, dtype=complex)
     if pts.size < 2:
         raise ValueError("need at least 2 points")
+    if np.count_nonzero(np.isfinite(pts)) < pts.size:
+        raise ValueError("points must be finite")
     h = complex(h)
     b = complex(b)
-    if not all(math.isfinite(v) for v in (h.real, h.imag, b.real, b.imag)):
+    if not (cmath.isfinite(h) and cmath.isfinite(b)):
         raise ValueError("h and b must be finite")
 
     radii = np.abs(h * pts + b)
-    order = np.argsort(radii, kind="stable")
+    order = radii.argsort(kind="stable")
     magnitudes = radii[order]
-    thresholds = 0.5 * (magnitudes[:-1] + magnitudes[1:])
+    lower, upper = magnitudes[:-1], magnitudes[1:]
+    thresholds = 0.5 * (lower + upper)
+    # upper is the larger of each sorted pair, so it scales the tolerance.
+    tied = upper - lower <= _TIE_RTOL * upper
+    ambiguous = bool(np.count_nonzero(tied))
 
-    gaps = np.diff(magnitudes)
-    tied = gaps <= _TIE_RTOL * np.maximum(magnitudes[1:], magnitudes[:-1])
-
-    decision = order.copy()
-    if np.any(tied):
+    decision = order
+    if ambiguous:
         # Collapse each run of coincident magnitudes onto its lowest original
         # index so ambiguous detection is deterministic.
+        decision = order.copy()
         start = 0
-        for k in range(len(gaps) + 1):
-            if k < len(gaps) and tied[k]:
+        for k in range(tied.size + 1):
+            if k < tied.size and tied[k]:
                 continue
             decision[start : k + 1] = np.min(order[start : k + 1])
             start = k + 1
@@ -75,7 +85,7 @@ def build_detector(points, h, b) -> DetectorTable:
         magnitudes=magnitudes,
         symbol_index=order,
         thresholds=thresholds,
-        ambiguous=bool(np.any(tied)),
+        ambiguous=ambiguous,
         decision_index=decision,
     )
 
@@ -105,11 +115,24 @@ def detect(table: DetectorTable, z):
     exactly on a threshold resolves to the lower-magnitude symbol.
     """
     z_arr = np.asarray(z, dtype=float)
-    if not np.all(np.isfinite(z_arr)) or np.any(z_arr < 0):
+    # NaN propagates through min and max, so it fails both comparisons.
+    if z_arr.size and not (z_arr.min() >= 0.0 and z_arr.max() < math.inf):
         raise ValueError("observed amplitude must be finite and >= 0")
-    # side='left' keeps z == threshold in the lower slot.
-    slots = np.searchsorted(table.thresholds, z_arr, side="left")
-    result = table.decision_index[slots]
-    if np.isscalar(z) or z_arr.ndim == 0:
+    # A 0-d z becomes a numpy scalar, whose comparisons skip the array path.
+    zq = z_arr[()]
+    thresholds = table.thresholds
+    # The slot is the number of thresholds strictly below z, found in log2(p)
+    # passes over the batch, p = 1 << bit_length(M-1). The +inf padding is
+    # never below a finite z, so no slot passes M-1.
+    k = 1 << (thresholds.size.bit_length() - 1)
+    padded = np.concatenate((thresholds, np.full(2 * k - 1 - thresholds.size, math.inf)))
+    slot = np.multiply(zq > thresholds[k - 1], k, dtype=np.intp)
+    k >>= 1
+    while k:
+        # The view padded[k - 1 :] offsets each probe without an index add.
+        slot += (padded[k - 1 :].take(slot) < zq) * k
+        k >>= 1
+    result = table.decision_index.take(slot)
+    if z_arr.ndim == 0:
         return int(result)
     return result

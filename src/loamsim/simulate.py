@@ -401,11 +401,6 @@ def _loam_fading_design(h, b, power, order):
     return ray, c_mag, rho0, d
 
 
-def _loam_fading_levels(h, rho0, d, order):
-    """Receive levels |h*x_i + b| = |h| * (rho0 + i*d), one row per trial."""
-    return np.abs(h)[:, None] * (rho0[:, None] + np.arange(order)[None, :] * d[:, None])
-
-
 def _loam_fading_errors(symbols, h, b, noise, power, order, buffers) -> int:
     """Vectorized per-trial redesign, observation, and detection."""
     n = symbols.size
@@ -419,7 +414,7 @@ def _loam_fading_errors(symbols, h, b, noise, power, order, buffers) -> int:
 
 
 def _loam_fading_level(j, h_mag, rho0, d, out):
-    """Column j of _loam_fading_levels, j given per trial, by the same operations."""
+    """Receive level |h*x_j + b| = |h| * (rho0 + j*d), j given per trial."""
     np.multiply(j, d, out=out)
     np.add(rho0, out, out=out)
     return np.multiply(h_mag, out, out=out)

@@ -188,20 +188,23 @@ def test_verify_deterministic():
 @pytest.mark.parametrize(
     "args,flag",
     [
-        (("--order", "1"), "--order"),
-        (("--order", "0"), "--order"),
-        (("--order", "2", "--grid", "10"), "--grid"),  # retired: the free search is exact
-        (("--scenarios", "0"), "--scenarios"),
-        (("--scenarios", "-2"), "--scenarios"),
-        (("--steps", "200"), "--steps"),  # retired: the ray search is exact
+        (("verify", "--order", "1"), "--order"),
+        (("verify", "--order", "0"), "--order"),
+        (("verify", "--order", "2", "--grid", "10"), "--grid"),  # retired: the free search is exact
+        (("verify", "--scenarios", "0"), "--scenarios"),
+        (("verify", "--scenarios", "-2"), "--scenarios"),
+        (("verify", "--steps", "200"), "--steps"),  # retired: the ray search is exact
+        # Rejected before the (missing) config is read, which would exit 1.
+        (("sweep", "missing.json", "--bogus"), "--bogus"),
+        (("design", "--h-re", "1", "--power", "1", "--order", "4", "--bogus", "3"), "--bogus"),
     ],
 )
 def test_verify_rejects_bad_arguments(args, flag):
-    result = run_cli("verify", *args)
+    """Usage errors, leftover arguments included, print the subcommand's usage."""
+    result = run_cli(*args)
     assert result.returncode == 2
     assert flag in result.stderr
-    if flag in ("--grid", "--steps"):
+    if flag in ("--grid", "--steps", "--bogus"):
         assert "unrecognized arguments" in result.stderr
-    else:
-        assert "usage: loamsim verify" in result.stderr
+    assert f"usage: loamsim {args[0]}" in result.stderr
     assert result.stdout == ""

@@ -76,10 +76,17 @@ def test_detect_examples():
 
 def test_detect_rejects_bad_input():
     table, _ = _strong_table()
-    with pytest.raises(ValueError):
-        detect(table, -0.1)
-    with pytest.raises(ValueError):
-        detect(table, float("nan"))
+    for bad in (-0.1, math.nan, math.inf, -math.inf, [0.5, math.nan], [[0.5], [-1.0]]):
+        with pytest.raises(ValueError):
+            detect(table, bad)
+
+
+@pytest.mark.parametrize(
+    "points", [[math.inf, 0.0], [math.nan, 1.0], [1.0, complex(0.0, -math.inf)]]
+)
+def test_build_detector_rejects_non_finite_points(points):
+    with pytest.raises(ValueError, match="points must be finite"):
+        build_detector(points, 1.0, 0.0)
 
 
 def test_zero_noise_identity():
@@ -113,16 +120,65 @@ def test_detect_matches_exhaustive_argmin():
 
 
 def test_detect_monotone_in_observation():
-    table, _ = _strong_table()
+    """The receive level of the detected symbol never falls as z rises."""
+    _, out = _strong_table()
     z = np.linspace(0.0, 5.0, 4001)
-    slots = np.searchsorted(table.thresholds, z, side="left")
-    assert np.all(np.diff(slots) >= 0)
+    for points, h, b in ((out.points, 1.0, 2.0), (gen_pam(1.0, 4).points, 1.0, 0.0)):
+        levels = np.abs(h * points + b)[detect(build_detector(points, h, b), z)]
+        assert np.all(np.diff(levels) >= 0)
+
+
+def _searchsorted_detect(table, z):
+    """Reference detection: count the thresholds below z with searchsorted."""
+    return table.decision_index[np.searchsorted(table.thresholds, z, side="left")]
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 64, 65])
+def test_detect_matches_searchsorted_reference(order):
+    """Every slot, tie and shape agrees with searchsorted on either side of 2^k."""
+    rng = np.random.default_rng(order)
+    tables = [
+        build_detector(
+            rng.normal(size=order) + 1j * rng.normal(size=order),
+            complex(rng.normal(), rng.normal()),
+            complex(rng.normal(), rng.normal()),
+        )
+        for _ in range(3)
+    ]
+    state = ChannelState(h=0.8 + 0.3j, b=0.2, power=1.0, order=order)
+    tables.append(build_detector(design_loam(state).points, state.h, state.b))
+    # Tied tables: every PSK level coincides at b = 0, PAM folds pairwise.
+    tables.append(build_detector(gen_psk(1.0, order).points, 1.0, 0.0))
+    tables.append(build_detector(gen_pam(1.0, order).points, 1.0, 0.0))
+    # Receive levels that overflow give +inf thresholds (and inf - inf gaps).
+    huge = np.concatenate(([0.5], np.full(order - 1, 1e308)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        tables.append(build_detector(huge, 10.0, 0.0))
+    assert np.isinf(tables[-1].thresholds[-1])
+    for table in tables:
+        t = table.thresholds
+        edges = [0.0, 1e300, np.finfo(float).max]
+        z = np.concatenate((edges, t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf)))
+        z = z[(z >= 0.0) & (z < np.inf)]
+        want = _searchsorted_detect(table, z)
+        got = detect(table, z)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+        for zi, wi in zip(z, want):
+            assert detect(table, float(zi)) == wi
+            got0 = detect(table, np.asarray(zi))
+            assert type(got0) is int and got0 == wi
+        grid = z[: 2 * (z.size // 2)].reshape(2, -1)
+        np.testing.assert_array_equal(detect(table, grid), _searchsorted_detect(table, grid))
+        for empty in (np.empty(0), np.empty((0, 3))):
+            got = detect(table, empty)
+            assert got.shape == empty.shape and got.dtype == want.dtype
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(
     scheme=st.sampled_from(sorted(SCHEMES)),
-    order=st.sampled_from([2, 3, 4, 8, 16]),
+    order=st.sampled_from([2, 3, 4, 8, 16, 32, 64]),
     reference=st.sampled_from(["zero", "weak", "strong"]),
     h_mag=st.floats(0.05, 20.0),
     h_phase=st.floats(0.0, 2 * math.pi),

@@ -31,11 +31,15 @@ from loamsim.simulate import (
     _block_rng,
     _fixed_block,
     _loam_fading_design,
-    _loam_fading_levels,
     _loam_fading_outside,
     _rayleigh_block,
     _scheme_points,
 )
+
+
+def _loam_fading_levels(h, rho0, d, order):
+    """Reference receive levels |h*x_i + b| = |h| * (rho0 + i*d), one row per trial."""
+    return np.abs(h)[:, None] * (rho0[:, None] + np.arange(order)[None, :] * d[:, None])
 
 
 def sweep(schemes, order=4, snrs=(40.0,), trials=100_000, seed=99, h=1.0 + 0j,
