@@ -37,29 +37,24 @@ class ChannelState:
         b: complex reference signal added at the receiver.
         power: average transmit power budget (> 0).
         order: alphabet size M (>= 2).
-        sigma2: total variance of the complex noise (>= 0).
     """
 
     h: complex
     b: complex
     power: float
     order: int
-    sigma2: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "h", _as_finite_complex(self.h, "h"))
         object.__setattr__(self, "b", _as_finite_complex(self.b, "b"))
         object.__setattr__(self, "power", float(self.power))
         object.__setattr__(self, "order", int(self.order))
-        object.__setattr__(self, "sigma2", float(self.sigma2))
         if abs(self.h) == 0.0:
             raise ValueError("channel gain h must be nonzero")
         if not math.isfinite(self.power) or self.power <= 0.0:
-            raise ValueError(f"power must be positive, got {self.power}")
+            raise ValueError(f"power must be finite and positive, got {self.power}")
         if self.order < 2:
             raise ValueError(f"order must be >= 2, got {self.order}")
-        if not math.isfinite(self.sigma2) or self.sigma2 < 0.0:
-            raise ValueError(f"sigma2 must be >= 0, got {self.sigma2}")
 
 
 def snr_db_to_sigma2(snr_db: float, state: ChannelState) -> float:

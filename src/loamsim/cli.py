@@ -48,9 +48,6 @@ def _cmd_design(args, parser: argparse.ArgumentParser) -> int:
     b = complex(args.b_re, args.b_im)
     if args.scheme == "qam" and math.isqrt(args.order) ** 2 != args.order:
         parser.error(f"qam requires a perfect-square order, got {args.order}")
-    if not all(map(math.isfinite, (args.h_re, args.h_im, args.b_re, args.b_im, args.power))):
-        print("design failed: h, b and power must be finite", file=sys.stderr)
-        return 1
     gen = SCHEMES[args.scheme]
     try:
         # Every scheme needs h != 0: with h = 0 all points land on |b|.
@@ -61,6 +58,9 @@ def _cmd_design(args, parser: argparse.ArgumentParser) -> int:
             text = constellation_to_json(gen(args.power, args.order), h, b)
     except ValueError as exc:  # includes InfeasibleDesignError
         print(f"design failed: {exc}", file=sys.stderr)
+        return 1
+    except OverflowError:  # the designer squares |h|, |b| and c = |b|/|h|
+        print("design failed: h, b or power is too large to square as a float", file=sys.stderr)
         return 1
     _write_artifact(text, args.out)
     return 0

@@ -20,7 +20,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,7 +89,7 @@ class DesignOutcome:
     regime: Regime
     ray_phase: float
     spacing: float
-    magnitudes: np.ndarray = field(default_factory=lambda: np.empty(0))
+    magnitudes: np.ndarray
 
     @property
     def points(self) -> np.ndarray:

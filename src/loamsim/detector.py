@@ -15,7 +15,6 @@ error rate as random guessing under uniform symbols.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -53,18 +52,15 @@ def build_detector(points, h, b) -> DetectorTable:
     pts = np.asarray(points, dtype=complex)
     if pts.size < 2:
         raise ValueError("need at least 2 points")
-    if np.count_nonzero(np.isfinite(pts)) < pts.size:
-        raise ValueError("points must be finite")
-    h = complex(h)
-    b = complex(b)
-    if not (cmath.isfinite(h) and cmath.isfinite(b)):
-        raise ValueError("h and b must be finite")
-
-    radii = np.abs(h * pts + b)
+    radii = np.abs(complex(h) * pts + complex(b))
+    # NaN or inf in h, b or the points, or an overflow, leaves a level non-finite.
+    if np.count_nonzero(np.isfinite(radii)) < radii.size:
+        raise ValueError("h, b and points must be finite and give finite receive levels")
     order = radii.argsort(kind="stable")
     magnitudes = radii[order]
     lower, upper = magnitudes[:-1], magnitudes[1:]
-    thresholds = 0.5 * (lower + upper)
+    # Halving each level first keeps the midpoint of two finite levels finite.
+    thresholds = 0.5 * lower + 0.5 * upper
     # upper is the larger of each sorted pair, so it scales the tolerance.
     tied = upper - lower <= _TIE_RTOL * upper
     ambiguous = bool(np.count_nonzero(tied))

@@ -17,9 +17,14 @@ c = |b|/|h| >= 0 on the real axis, so an offset u is received at |h|*|u - c|.
 * Sign lemma. (c + r)^2 - (c - r)^2 = 4*c*r >= 0, so for each radius the
   offset nearer the origin, u_k = c - r_k, never costs more power. No sign
   pattern over the radii needs to be searched.
-* Power bound. The least power at spacing d is therefore the bounded
-  isotonic regression of y_k = c - k*d onto {0 <= q_0 <= ... <= q_{M-1}},
-  which pool adjacent violators solves exactly.
+* Power bound. The least power at spacing d is therefore the least-squares
+  fit of y_k = c - k*d by 0 <= q_0 <= ... <= q_{M-1}. The y_k strictly
+  decrease, so the nondecreasing fit pools them all into their mean
+  ybar = c - (M-1)*d/2, clipped at 0 (Best & Chakravarti, Math. Prog. 1990).
+  The offsets y_k - max(ybar, 0) are centred on the origin when
+  c >= (M-1)*d/2 and otherwise anchored at u_0 = c. At the strong spacing
+  sqrt(12P/(M^2-1)) the centred case is |b|^2 >= 3P(M-1)|h|^2/(M+1), the
+  designer's regime threshold.
 * Spacing. That power is nondecreasing in d, since a design meeting gap d
   meets every smaller gap, so bisection finds the largest d within budget.
 
@@ -80,33 +85,15 @@ class FreeSearchResult(NamedTuple):
     x1: complex
 
 
-def _nonneg_isotonic(y: np.ndarray) -> np.ndarray:
-    """Least-squares fit of y by 0 <= q_0 <= ... <= q_{M-1}.
-
-    Pool adjacent violators (Barlow, Bartholomew, Bremner & Brunk 1972) gives
-    the nondecreasing fit; under a simple order, clipping it at the bound
-    gives the bounded fit (Best & Chakravarti, Math. Prog. 1990).
-    """
-    sums, sizes = [], []
-    for value in y.tolist():
-        total, size = value, 1
-        # Merge while the previous block's mean exceeds this block's.
-        while sums and sums[-1] / sizes[-1] > total / size:
-            total += sums.pop()
-            size += sizes.pop()
-        sums.append(total)
-        sizes.append(size)
-    return np.maximum(np.repeat(np.divide(sums, sizes), sizes), 0.0)
-
-
 def _least_power_offsets(c_mag: float, spacing: float, order: int) -> np.ndarray:
     """Offsets of least power whose radii about c_mag are >= spacing apart.
 
     By the sign lemma each offset sits at c_mag - r_k, and with
     r_k = q_k + k*spacing the offset is y_k - q_k for y_k = c_mag - k*spacing.
+    Every q_k is max(mean(y), 0) by the power bound, summed in index order.
     """
     y = c_mag - spacing * np.arange(order)
-    return y - _nonneg_isotonic(y)
+    return y - max(np.cumsum(y)[-1] / order, 0.0)
 
 
 def oracle_ray_search(state: ChannelState, steps=None, seed=None) -> RaySearchResult:

@@ -117,12 +117,20 @@ def _integer(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _finite_complex(z) -> bool:
+# The range rule. The sweep squares P, |h| and |b| and multiplies such
+# squares in pairs, as in the regime threshold 3P(M-1)|h|^2/(M+1). Squares
+# within [1e-150, 1e150] (or b = 0) keep every such product, and the inverse
+# of every magnitude, a normal float. NaN is in no range.
+def _in_range(square) -> bool:
+    return 1e-150 <= square <= 1e150
+
+
+def _square(z) -> float:
+    """|z|^2, or inf where it overflows a float."""
     try:
-        z = complex(z)
-    except OverflowError:  # an int beyond the float range
-        return False
-    return _number(z.real) and _number(z.imag)
+        return abs(complex(z)) ** 2
+    except OverflowError:
+        return math.inf
 
 
 def _as_float(value, path: str) -> float:
@@ -157,8 +165,9 @@ _MODES = {
     },
 }
 _FIELDS = {  # field: (config reader, check, requirement)
-    "h": (_read_pair, lambda h: _finite_complex(h) and h != 0, "finite and nonzero"),
-    "b": (_read_pair, _finite_complex, "finite"),
+    "h": (_read_pair, lambda h: _in_range(_square(h)), "finite with |h|^2 in [1e-150, 1e150]"),
+    "b": (_read_pair, lambda b: b == 0 or _in_range(_square(b)),
+          "0 or finite with |b|^2 in [1e-150, 1e150]"),
     "ratio": (_read_number, lambda r: _number(r) and r >= 0, "a finite number >= 0"),
 }
 
@@ -198,9 +207,6 @@ class SweepConfig:
                 )
         if not self.snr_grid_db:
             raise ConfigError("snr_grid_db", "must list at least one SNR point")
-        for i, snr in enumerate(self.snr_grid_db):
-            if not _number(snr):
-                raise ConfigError(f"snr_grid_db[{i}]", f"must be finite, got {snr!r}")
         if not _integer(self.trials_per_point) or self.trials_per_point < 1000:
             raise ConfigError(
                 "trials_per_point",
@@ -208,8 +214,10 @@ class SweepConfig:
             )
         if not _integer(self.seed) or not 0 <= self.seed < 2**64:
             raise ConfigError("seed", f"must be a 64-bit unsigned integer, got {self.seed!r}")
-        if not (_number(self.power) and self.power > 0):
-            raise ConfigError("power", f"must be a finite number > 0, got {self.power!r}")
+        if not (_number(self.power) and _in_range(self.power)):
+            raise ConfigError(
+                "power", f"must be a number within [1e-150, 1e150], got {self.power!r}"
+            )
         for key in ("channel_mode", "reference_mode"):
             mode = getattr(self, key)
             if type(mode) not in _MODES[key].values():
@@ -221,6 +229,26 @@ class SweepConfig:
                     raise ConfigError(
                         f"{key}.{field.name}", f"must be {requirement}, got {value!r}"
                     )
+        if isinstance(self.reference_mode, ThresholdRatioReference):
+            # The b that ratio sets must meet b's rule; |h| = 1 stands in under fading.
+            h = self.channel_mode.h if isinstance(self.channel_mode, FixedChannel) else 1.0
+            b = _resolve_fixed_reference(self.reference_mode, h, self.power, self.order)
+            _, ok, requirement = _FIELDS["b"]
+            if not ok(b):
+                raise ConfigError(
+                    "reference_mode.ratio", f"must set a b that is {requirement}, got b = {b!r}"
+                )
+        for i, snr in enumerate(self.snr_grid_db):
+            try:
+                sigma2 = _noise_variance(self, snr) if _number(snr) else math.nan
+            except (OverflowError, ZeroDivisionError):  # 10**(snr/10) leaves the float range
+                sigma2 = math.nan
+            if not np.finfo(float).tiny <= sigma2 < math.inf:
+                raise ConfigError(
+                    f"snr_grid_db[{i}]",
+                    "must be finite and give a finite, normal noise variance "
+                    f"P*|h|^2/10^(snr/10), got {snr!r}",
+                )
 
 
 @dataclass(frozen=True)
@@ -232,6 +260,12 @@ class SerPoint:
     errors: int
     ser: float
     ci95_halfwidth: float
+
+
+def _noise_variance(config: SweepConfig, snr: float) -> float:
+    """sigma2 at one SNR point, SNR = P*|h|^2/sigma2; |h| = 1 under unit-power fading."""
+    h = config.channel_mode.h if isinstance(config.channel_mode, FixedChannel) else 1.0
+    return snr_db_to_sigma2(snr, ChannelState(h=h, b=0.0, power=config.power, order=config.order))
 
 
 def _scheme_points(scheme: str, state: ChannelState) -> np.ndarray:
@@ -479,15 +513,10 @@ def run_sweep(config: SweepConfig, workers: int | None = None) -> list[SerPoint]
             )
 
     n_blocks = (trials + _BLOCK - 1) // _BLOCK
+    sigma2s = [_noise_variance(config, snr) for snr in config.snr_grid_db]
     tasks = []
     for si, scheme in enumerate(config.schemes):
-        for ni, snr in enumerate(config.snr_grid_db):
-            if fixed:
-                sigma2 = snr_db_to_sigma2(snr, state)
-            else:
-                # Fading gains are normalized to unit mean power, so the SNR
-                # definition P*|h|^2/sigma2 is applied in expectation.
-                sigma2 = power / 10.0 ** (snr / 10.0)
+        for ni, sigma2 in enumerate(sigma2s):
             for bi in range(n_blocks):
                 n = min(_BLOCK, trials - bi * _BLOCK)
                 tasks.append((si, ni, bi, scheme, sigma2, n))

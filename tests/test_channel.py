@@ -102,6 +102,4 @@ def test_channel_state_validation():
     with pytest.raises(ValueError):
         ChannelState(h=1.0, b=0.0, power=1.0, order=1)
     with pytest.raises(ValueError):
-        ChannelState(h=1.0, b=0.0, power=1.0, order=2, sigma2=-0.1)
-    with pytest.raises(ValueError):
         ChannelState(h=complex(float("nan"), 0), b=0.0, power=1.0, order=2)

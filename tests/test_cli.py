@@ -110,6 +110,40 @@ def test_sweep_rejects_integer_beyond_float_range(tmp_path):
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize(
+    "overrides,message",
+    [
+        ({"channel_mode": {"mode": "fixed_channel", "h": [1e200, 0]}},
+         "invalid config: channel_mode.h:"),
+        ({"channel_mode": {"mode": "fixed_channel", "h": [1e-200, 0]}},
+         "invalid config: channel_mode.h:"),
+        ({"reference_mode": {"mode": "fixed_value", "b": [1e200, 0]}},
+         "invalid config: reference_mode.b:"),
+        ({"channel_mode": {"mode": "rayleigh_per_trial"}, "snr_grid_db": [0, -4000]},
+         "invalid config: snr_grid_db[1]:"),
+        ({"snr_grid_db": [4000]}, "invalid config: snr_grid_db[0]:"),
+    ],
+)
+def test_sweep_rejects_values_whose_squares_leave_the_float_range(tmp_path, overrides, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**CONFIG, **overrides}))
+    result = run_cli("sweep", str(cfg))
+    assert result.returncode == 1
+    assert message in result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize("flags", [("--b-re", "1e200"), ("--h-re", "1e300", "--b-re", "1e300")])
+def test_design_reports_overflow_without_traceback(flags):
+    args = {"--h-re": "1", "--power": "1", "--order": "4"}
+    result = run_cli("design", *(x for pair in args.items() for x in pair), *flags)
+    assert result.returncode == 1
+    assert "design failed:" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
 def test_sweep_row_count_and_reproducibility(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(CONFIG))

@@ -89,6 +89,21 @@ def test_build_detector_rejects_non_finite_points(points):
         build_detector(points, 1.0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "h,b", [(math.inf, 0.0), (1.0, complex(math.nan, 0.0)), (complex(0.0, -math.inf), 1.0)]
+)
+def test_build_detector_rejects_non_finite_h_and_b(h, b):
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="h, b and points"):
+        build_detector([0.0, 1.0], h, b)
+
+
+def test_midpoint_of_levels_near_the_largest_float():
+    table = build_detector([1.0e308, 1.2e308], 1.0, 0.0)
+    assert table.thresholds[0] == pytest.approx(1.1e308, rel=1e-15)
+    assert detect(table, 1.0e308) == 0
+    assert detect(table, 1.2e308) == 1
+
+
 def test_zero_noise_identity():
     rng = np.random.default_rng(4)
     for _ in range(100):
@@ -150,11 +165,14 @@ def test_detect_matches_searchsorted_reference(order):
     # Tied tables: every PSK level coincides at b = 0, PAM folds pairwise.
     tables.append(build_detector(gen_psk(1.0, order).points, 1.0, 0.0))
     tables.append(build_detector(gen_pam(1.0, order).points, 1.0, 0.0))
-    # Receive levels that overflow give +inf thresholds (and inf - inf gaps).
+    # Receive levels that overflow are rejected.
     huge = np.concatenate(([0.5], np.full(order - 1, 1e308)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        tables.append(build_detector(huge, 10.0, 0.0))
-    assert np.isinf(tables[-1].thresholds[-1])
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
+        build_detector(huge, 10.0, 0.0)
+    # Finite levels up to the largest float keep finite midpoints.
+    near_max = np.linspace(0.5, 1.0, order) * np.finfo(float).max
+    tables.append(build_detector(near_max, 1.0, 0.0))
+    assert np.all(np.isfinite(tables[-1].thresholds))
     for table in tables:
         t = table.thresholds
         edges = [0.0, 1e300, np.finfo(float).max]

@@ -1,8 +1,11 @@
 import dataclasses
 import math
+import operator
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from loamsim import (
     ChannelState,
@@ -443,6 +446,31 @@ def test_config_reports_offending_key_path():
         ("library", {"snr_grid_db": (True,)}, "snr_grid_db[0]"),
         ("library", {"snr_grid_db": (0, "x")}, "snr_grid_db[1]"),
         ("library", {"snr_grid_db": (None,)}, "snr_grid_db[0]"),
+        # Finite numbers whose squares, or noise variance, leave the float range.
+        ("json", {"channel_mode": {"mode": "fixed_channel", "h": [1e200, 0]}},
+         "channel_mode.h"),
+        ("json", {"channel_mode": {"mode": "fixed_channel", "h": [1e-200, 0]}},
+         "channel_mode.h"),
+        ("json", {"reference_mode": {"mode": "fixed_value", "b": [1e200, 0]}},
+         "reference_mode.b"),
+        ("json", {"channel_mode": {"mode": "rayleigh_per_trial"},
+                  "reference_mode": {"mode": "fixed_value", "b": [1e200, 0]}},
+         "reference_mode.b"),
+        ("json", {"reference_mode": {"mode": "threshold_ratio", "ratio": 1e300}},
+         "reference_mode.ratio"),
+        ("json", {"channel_mode": {"mode": "rayleigh_per_trial"},
+                  "reference_mode": {"mode": "threshold_ratio", "ratio": 1e300}},
+         "reference_mode.ratio"),
+        ("json", {"power": 1e300}, "power"),
+        ("json", {"snr_grid_db": [0, 4000]}, "snr_grid_db[1]"),
+        ("json", {"snr_grid_db": [-4000]}, "snr_grid_db[0]"),
+        ("json", {"channel_mode": {"mode": "rayleigh_per_trial"}, "snr_grid_db": [4000]},
+         "snr_grid_db[0]"),
+        ("json", {"channel_mode": {"mode": "rayleigh_per_trial"}, "snr_grid_db": [-4000]},
+         "snr_grid_db[0]"),
+        # sigma2 = 1e-140/1e170 is finite and positive but far below the smallest normal.
+        ("json", {"channel_mode": {"mode": "fixed_channel", "h": [1e-70, 0]},
+                  "snr_grid_db": [1700]}, "snr_grid_db[0]"),
     ],
 )
 def test_config_rejects_bools_and_non_finite_numbers(source, overrides, path):
@@ -452,6 +480,55 @@ def test_config_rejects_bools_and_non_finite_numbers(source, overrides, path):
         else:
             dataclasses.replace(sweep_config_from_dict(_config_doc()), **overrides).validate()
     assert err.value.path == path
+
+
+# Finite floats >= 0: hypothesis's own mix of edge values, and magnitudes
+# spread over the decades of the float range.
+_MAGNITUDE = st.one_of(
+    st.floats(min_value=0.0, allow_infinity=False),
+    st.builds(lambda e: 10.0**e, st.floats(-323.0, 308.0)),
+)
+_ANY_FLOAT = st.builds(operator.mul, st.sampled_from([1.0, -1.0]), _MAGNITUDE)
+_RANGE_PATHS = {
+    "power", "channel_mode.h", "reference_mode.b", "reference_mode.ratio", "snr_grid_db[0]"
+}
+
+
+# Without the explain phase, a failure is reported in seconds, not minutes.
+@settings(max_examples=250, deadline=None, derandomize=True, database=None,
+          phases=(Phase.explicit, Phase.generate, Phase.shrink))
+@given(
+    fading=st.booleans(),
+    order=st.sampled_from([2, 4, 64]),
+    h=st.tuples(_ANY_FLOAT, _ANY_FLOAT),
+    reference=st.sampled_from(["zero", "fixed_value", "threshold_ratio"]),
+    b=st.tuples(_ANY_FLOAT, _ANY_FLOAT),
+    ratio=_MAGNITUDE,
+    power=_MAGNITUDE,
+    snr=_ANY_FLOAT,
+)
+def test_any_finite_config_runs_or_names_its_key(fading, order, h, reference, b, ratio,
+                                                 power, snr):
+    """Across the float range a config is rejected by key path or runs without a float error."""
+    channel = {"mode": "rayleigh_per_trial"} if fading else {"mode": "fixed_channel", "h": h}
+    fields = {"zero": {}, "fixed_value": {"b": b}, "threshold_ratio": {"ratio": ratio}}
+    doc = _config_doc(
+        schemes=["loam", "pam", "psk"] + (["qam"] if order == 4 else []),
+        order=order,
+        snr_grid_db=[snr],
+        trials_per_point=1000,
+        power=power,
+        channel_mode=channel,
+        reference_mode={"mode": reference, **fields[reference]},
+    )
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        try:
+            config = sweep_config_from_dict(doc)
+        except ConfigError as err:
+            assert err.path in _RANGE_PATHS
+            return
+        points = run_sweep(config, workers=1)
+    assert all(0.0 <= p.ser <= 1.0 for p in points)
 
 
 def test_config_rejects_unknown_scheme():
