@@ -5,6 +5,12 @@ the complex channel gain h, offset by the known receiver-side reference b,
 plus circular complex Gaussian noise n. Phase is lost at detection, so
 everything downstream (constellation design, detection, SER simulation) works
 on the transformed magnitudes |h*x + b|.
+
+The range rule: a `ChannelState` has |h|^2 and the power P within
+[1e-150, 1e150], and |b|^2 at most 1e150. Designs square P, |h| and |b| and
+multiply such squares in pairs, as in the regime threshold 3P(M-1)|h|^2/(M+1);
+within that band every such product, and 1/|h|, stays a normal float. The
+designer, the oracles, `loamsim design` and sweeps all inherit the rule.
 """
 
 from __future__ import annotations
@@ -14,11 +20,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .detector import build_detector
+
 __all__ = [
     "ChannelState",
     "snr_db_to_sigma2",
     "effective_min_distance",
 ]
+
+
+def _in_range(square) -> bool:
+    """Whether a square lies in the band of the range rule; NaN is in no range."""
+    return 1e-150 <= square <= 1e150
 
 
 def _as_finite_complex(value, name: str) -> complex:
@@ -30,12 +43,12 @@ def _as_finite_complex(value, name: str) -> complex:
 
 @dataclass(frozen=True)
 class ChannelState:
-    """One design/detection scenario.
+    """One design/detection scenario, within the range rule.
 
     Attributes:
-        h: complex channel gain (must be nonzero).
-        b: complex reference signal added at the receiver.
-        power: average transmit power budget (> 0).
+        h: complex channel gain, nonzero with |h|^2 in [1e-150, 1e150].
+        b: complex reference signal added at the receiver, |b|^2 <= 1e150.
+        power: average transmit power budget, in [1e-150, 1e150].
         order: alphabet size M (>= 2).
     """
 
@@ -49,10 +62,15 @@ class ChannelState:
         object.__setattr__(self, "b", _as_finite_complex(self.b, "b"))
         object.__setattr__(self, "power", float(self.power))
         object.__setattr__(self, "order", int(self.order))
-        if abs(self.h) == 0.0:
+        if self.h == 0:
             raise ValueError("channel gain h must be nonzero")
-        if not math.isfinite(self.power) or self.power <= 0.0:
-            raise ValueError(f"power must be finite and positive, got {self.power}")
+        # A float product overflows to inf where ** would raise.
+        if not _in_range(abs(self.h) * abs(self.h)):
+            raise ValueError(f"h must have |h|^2 within [1e-150, 1e150], got {self.h!r}")
+        if not abs(self.b) * abs(self.b) <= 1e150:
+            raise ValueError(f"b must have |b|^2 at most 1e150, got {self.b!r}")
+        if not _in_range(self.power):
+            raise ValueError(f"power must be finite and within [1e-150, 1e150], got {self.power}")
         if self.order < 2:
             raise ValueError(f"order must be >= 2, got {self.order}")
 
@@ -67,13 +85,5 @@ def snr_db_to_sigma2(snr_db: float, state: ChannelState) -> float:
 
 
 def effective_min_distance(points, h, b) -> float:
-    """Minimum pairwise gap between the transformed magnitudes of `points`."""
-    pts = np.asarray(points, dtype=complex)
-    if pts.size < 2:
-        raise ValueError("need at least 2 points")
-    h = _as_finite_complex(h, "h")
-    b = _as_finite_complex(b, "b")
-    if not np.all(np.isfinite(pts.view(float))):
-        raise ValueError("points must be finite")
-    radii = np.sort(np.abs(h * pts + b))
-    return float(np.min(np.diff(radii)))
+    """Minimum gap between the receive levels |h*x + b| of `points`."""
+    return float(np.min(np.diff(build_detector(points, h, b).magnitudes)))

@@ -81,8 +81,9 @@ class Constellation:
 class DesignOutcome:
     """A designed constellation plus its geometry summary.
 
-    magnitudes[i] is |h*points[i] + b|; indices are ordered so magnitudes
-    strictly increase.
+    magnitudes[i] is |h*points[i] + b|. A designed alphabet is indexed so that
+    magnitudes strictly increase; constellation_to_json also wraps a fixed
+    alphabet in one, with regime, ray_phase and spacing None.
     """
 
     constellation: Constellation
@@ -239,8 +240,7 @@ def gen_psk(power: float, order: int) -> Constellation:
 
 def gen_qam(power: float, order: int) -> Constellation:
     """Square QAM on an odd-integer grid, scaled so mean power equals P."""
-    if power <= 0:
-        raise ValueError("power must be positive")
+    _check_budget(power, order)
     root = math.isqrt(order)
     if root * root != order or order < 4:
         raise ValueError(f"QAM order must be a perfect square >= 4, got {order}")
@@ -261,50 +261,42 @@ SCHEMES = {"loam": None, "pam": gen_pam, "qam": gen_qam, "psk": gen_psk}
 # --------------------------------------------------------------------------
 
 def _fmt(x) -> str:
+    """One value as JSON text: null, a quoted str, an int, a complex as an
+    [re, im] pair, a list or array of values, or a float to 17 digits."""
     if x is None:
         return "null"
+    if isinstance(x, str):
+        return f'"{x}"'
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    if isinstance(x, complex):
+        return f"[{_fmt(x.real)}, {_fmt(x.imag)}]"
+    if isinstance(x, (list, np.ndarray)):
+        return "[" + ", ".join(map(_fmt, x)) + "]"
     return format(float(x), ".17g")
 
 
-def _json_document(scheme, order, regime, ray_phase, spacing, points, magnitudes):
-    pts = ", ".join(f"[{_fmt(p.real)}, {_fmt(p.imag)}]" for p in points)
-    mags = ", ".join(_fmt(m) for m in magnitudes)
-    regime_str = "null" if regime is None else f'"{regime.value}"'
-    return (
-        "{\n"
-        f'  "scheme": "{scheme}",\n'
-        f'  "order": {int(order)},\n'
-        f'  "regime": {regime_str},\n'
-        f'  "ray_phase": {_fmt(ray_phase)},\n'
-        f'  "spacing": {_fmt(spacing)},\n'
-        f'  "points": [{pts}],\n'
-        f'  "magnitudes": [{mags}]\n'
-        "}\n"
-    )
+def _member(key: str, value) -> str:
+    """One '"key": value' member of a JSON object."""
+    return f'"{key}": {_fmt(value)}'
 
 
 def design_to_json(outcome: DesignOutcome) -> str:
     """Serialize a DesignOutcome; doubles carry 17 significant digits."""
-    return _json_document(
-        outcome.constellation.scheme,
-        outcome.constellation.order,
-        outcome.regime,
-        outcome.ray_phase,
-        outcome.spacing,
-        outcome.points,
-        outcome.magnitudes,
-    )
+    members = {
+        "scheme": outcome.constellation.scheme,
+        "order": outcome.constellation.order,
+        "regime": None if outcome.regime is None else outcome.regime.value,
+        "ray_phase": outcome.ray_phase,
+        "spacing": outcome.spacing,
+        "points": outcome.points,
+        "magnitudes": outcome.magnitudes,
+    }
+    return "{\n" + ",\n".join(f"  {_member(k, v)}" for k, v in members.items()) + "\n}\n"
 
 
 def constellation_to_json(constellation: Constellation, h, b) -> str:
-    """Serialize a baseline constellation with its magnitudes under (h, b)."""
+    """Serialize a baseline constellation with its magnitudes under (h, b);
+    a fixed alphabet's regime, ray_phase and spacing are null."""
     magnitudes = np.abs(complex(h) * constellation.points + complex(b))
-    return _json_document(
-        constellation.scheme,
-        constellation.order,
-        None,
-        None,
-        None,
-        constellation.points,
-        magnitudes,
-    )
+    return design_to_json(DesignOutcome(constellation, None, None, None, magnitudes))

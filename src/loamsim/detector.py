@@ -68,14 +68,11 @@ def build_detector(points, h, b) -> DetectorTable:
     decision = order
     if ambiguous:
         # Collapse each run of coincident magnitudes onto its lowest original
-        # index so ambiguous detection is deterministic.
-        decision = order.copy()
-        start = 0
-        for k in range(tied.size + 1):
-            if k < tied.size and tied[k]:
-                continue
-            decision[start : k + 1] = np.min(order[start : k + 1])
-            start = k + 1
+        # index so ambiguous detection is deterministic. A run starts at slot
+        # 0 and after every slot not tied to the next.
+        starts = np.flatnonzero(np.concatenate(([True], ~tied)))
+        lowest = np.minimum.reduceat(order, starts)
+        decision = np.repeat(lowest, np.diff(starts, append=order.size))
 
     return DetectorTable(
         magnitudes=magnitudes,

@@ -27,6 +27,7 @@ from .channel import ChannelState, snr_db_to_sigma2
 from .constellations import (
     SCHEMES,
     _fmt,
+    _member,
     _spacing_root,
     _strong_reference,
     design_loam,
@@ -117,45 +118,27 @@ def _integer(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-# The range rule. The sweep squares P, |h| and |b| and multiplies such
-# squares in pairs, as in the regime threshold 3P(M-1)|h|^2/(M+1). Squares
-# within [1e-150, 1e150] (or b = 0) keep every such product, and the inverse
-# of every magnitude, a normal float. NaN is in no range.
-def _in_range(square) -> bool:
-    return 1e-150 <= square <= 1e150
-
-
-def _square(z) -> float:
-    """|z|^2, or inf where it overflows a float."""
+def _check_state(path: str, **field) -> None:
+    """ConfigError at path if ChannelState's range rule rejects the one field given."""
     try:
-        return abs(complex(z)) ** 2
-    except OverflowError:
-        return math.inf
+        ChannelState(**{"h": 1.0, "b": 0.0, "power": 1.0, "order": 2, **field})
+    except (ValueError, OverflowError) as exc:  # OverflowError: an int beyond the float range
+        raise ConfigError(path, str(exc)) from None
 
 
-def _as_float(value, path: str) -> float:
+def _read_pair(value, path: str) -> complex:
+    """A JSON [re, im] pair as a complex; validate checks the value."""
+    if not (isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_real, value))):
+        raise ConfigError(path, f"must be a [re, im] pair of numbers, got {value!r}")
     try:
-        return float(value)
+        return complex(*value)
     except OverflowError:
         raise ConfigError(path, "must be finite, got an integer too large for a float") from None
 
 
-# Config readers check types and the float range only; validate rejects
-# non-finite values under the same key path.
-def _read_number(value, path: str) -> float:
-    if not _real(value):
-        raise ConfigError(path, f"must be a number, got {value!r}")
-    return _as_float(value, path)
-
-
-def _read_pair(value, path: str) -> complex:
-    if not (isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_real, value))):
-        raise ConfigError(path, f"must be a [re, im] pair of numbers, got {value!r}")
-    return complex(_as_float(value[0], path), _as_float(value[1], path))
-
-
 # Config name of every channel and reference mode. The fields of a mode's
-# dataclass are its config keys besides "mode"; _FIELDS reads and checks each.
+# dataclass are its config keys besides "mode": the pairs h and b, and the
+# number ratio.
 _MODES = {
     "channel_mode": {"fixed_channel": FixedChannel, "rayleigh_per_trial": RayleighPerTrial},
     "reference_mode": {
@@ -163,12 +146,6 @@ _MODES = {
         "fixed_value": FixedReference,
         "threshold_ratio": ThresholdRatioReference,
     },
-}
-_FIELDS = {  # field: (config reader, check, requirement)
-    "h": (_read_pair, lambda h: _in_range(_square(h)), "finite with |h|^2 in [1e-150, 1e150]"),
-    "b": (_read_pair, lambda b: b == 0 or _in_range(_square(b)),
-          "0 or finite with |b|^2 in [1e-150, 1e150]"),
-    "ratio": (_read_number, lambda r: _number(r) and r >= 0, "a finite number >= 0"),
 }
 
 
@@ -185,12 +162,7 @@ class SweepConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "schemes", tuple(self.schemes))
-        # Only numbers are converted; validate reports any other entry by path.
-        snrs = tuple(
-            _as_float(s, f"snr_grid_db[{i}]") if _real(s) else s
-            for i, s in enumerate(self.snr_grid_db)
-        )
-        object.__setattr__(self, "snr_grid_db", snrs)
+        object.__setattr__(self, "snr_grid_db", tuple(self.snr_grid_db))
 
     def validate(self) -> None:
         for i, scheme in enumerate(self.schemes):
@@ -214,30 +186,35 @@ class SweepConfig:
             )
         if not _integer(self.seed) or not 0 <= self.seed < 2**64:
             raise ConfigError("seed", f"must be a 64-bit unsigned integer, got {self.seed!r}")
-        if not (_number(self.power) and _in_range(self.power)):
-            raise ConfigError(
-                "power", f"must be a number within [1e-150, 1e150], got {self.power!r}"
-            )
+        if not _number(self.power):
+            raise ConfigError("power", f"must be a finite number, got {self.power!r}")
+        _check_state("power", power=self.power)
         for key in ("channel_mode", "reference_mode"):
             mode = getattr(self, key)
             if type(mode) not in _MODES[key].values():
                 raise ConfigError(key, f"unknown mode {mode!r}")
-            for field in dataclasses.fields(mode):
-                value = getattr(mode, field.name)
-                _, ok, requirement = _FIELDS[field.name]
-                if not ok(value):
-                    raise ConfigError(
-                        f"{key}.{field.name}", f"must be {requirement}, got {value!r}"
-                    )
-        if isinstance(self.reference_mode, ThresholdRatioReference):
-            # The b that ratio sets must meet b's rule; |h| = 1 stands in under fading.
-            h = self.channel_mode.h if isinstance(self.channel_mode, FixedChannel) else 1.0
-            b = _resolve_fixed_reference(self.reference_mode, h, self.power, self.order)
-            _, ok, requirement = _FIELDS["b"]
-            if not ok(b):
-                raise ConfigError(
-                    "reference_mode.ratio", f"must set a b that is {requirement}, got b = {b!r}"
-                )
+        fixed = isinstance(self.channel_mode, FixedChannel)
+        # |h| = 1 stands in for the channel under unit-power fading.
+        h = self.channel_mode.h if fixed else 1.0
+        _check_state("channel_mode.h", h=h)
+        ratio = getattr(self.reference_mode, "ratio", 0)
+        if not (_number(ratio) and ratio >= 0):
+            raise ConfigError("reference_mode.ratio", f"must be a number >= 0, got {ratio!r}")
+        b_key = "b" if hasattr(self.reference_mode, "b") else "ratio"
+        b_path = f"reference_mode.{b_key}"
+        b = _resolve_fixed_reference(self.reference_mode, h, self.power, self.order)
+        _check_state(b_path, b=b)
+        # The fading kernel divides by c = |b|/|h|, so a nonzero b, unlike a
+        # ChannelState's, must also keep its square a normal float.
+        if b != 0 and abs(b) ** 2 < 1e-150:
+            raise ConfigError(b_path, f"must give b = 0 or |b|^2 >= 1e-150, got b = {b!r}")
+        # Where every trial has the same c, LOAM's receive levels are those of
+        # one table. Levels that tie in floating point would fold the design.
+        if fixed or not isinstance(self.reference_mode, FixedReference):
+            state = ChannelState(h=h, b=b, power=self.power, order=self.order)
+            if build_detector(design_loam(state).points, h, b).ambiguous:
+                message = f"gives b = {b!r}, at which LOAM's receive levels round together"
+                raise ConfigError(b_path, message)
         for i, snr in enumerate(self.snr_grid_db):
             try:
                 sigma2 = _noise_variance(self, snr) if _number(snr) else math.nan
@@ -354,7 +331,7 @@ def _resolve_fixed_reference(reference_mode, h: complex, power: float, order: in
     if isinstance(reference_mode, ThresholdRatioReference):
         ratio = reference_mode.ratio
         return complex(math.sqrt(ratio * strong_reference_threshold(power, order, abs(h))))
-    return complex(reference_mode.b)
+    return reference_mode.b
 
 
 def _rayleigh_block(rng, n, sigma2, buffers, order, power, points, reference_mode):
@@ -532,6 +509,8 @@ def run_sweep(config: SweepConfig, workers: int | None = None) -> list[SerPoint]
 
     errors = np.zeros((len(config.schemes), len(config.snr_grid_db)), dtype=np.int64)
     max_workers = workers if workers else _default_workers()
+    # One worker runs in the caller's thread, so a caller's np.errstate reaches
+    # the kernels; it does not reach a pool thread.
     if max_workers <= 1:
         for si, ni, err in map(run_block, tasks):
             errors[si, ni] += err
@@ -550,7 +529,7 @@ def run_sweep(config: SweepConfig, workers: int | None = None) -> list[SerPoint]
                 SerPoint(
                     scheme=scheme,
                     order=order,
-                    snr_db=snr,
+                    snr_db=float(snr),
                     trials=trials,
                     errors=err,
                     ser=ser,
@@ -581,7 +560,7 @@ def _mode_from_dict(doc, key: str):
         path = f"{key}.{field}"
         if field not in doc:
             raise ConfigError(path, f"required for {name}")
-        values[field] = _FIELDS[field][0](doc[field], path)
+        values[field] = doc[field] if field == "ratio" else _read_pair(doc[field], path)
     return cls(**values)
 
 
@@ -605,7 +584,6 @@ def sweep_config_from_dict(doc) -> SweepConfig:
     snr_grid = doc["snr_grid_db"]
     if not isinstance(snr_grid, list) or not all(map(_real, snr_grid)):
         raise ConfigError("snr_grid_db", f"must be a list of numbers, got {snr_grid!r}")
-    power = _read_number(doc.get("power", 1.0), "power")
     config = SweepConfig(
         schemes=tuple(schemes),
         order=doc["order"],
@@ -614,7 +592,7 @@ def sweep_config_from_dict(doc) -> SweepConfig:
         seed=doc["seed"],
         channel_mode=_mode_from_dict(doc["channel_mode"], "channel_mode"),
         reference_mode=_mode_from_dict(doc["reference_mode"], "reference_mode"),
-        power=power,
+        power=doc.get("power", 1.0),
     )
     config.validate()
     return config
@@ -624,26 +602,23 @@ def sweep_config_from_dict(doc) -> SweepConfig:
 # Output formats
 # --------------------------------------------------------------------------
 
+# CSV column and JSON key of each SerPoint field, in field order.
+_SER_KEYS = ("scheme", "order", "snr_db", "trials", "errors", "ser", "ci95")
+
+
 def ser_points_to_csv(points: list[SerPoint]) -> str:
     """CSV with header scheme,order,snr_db,trials,errors,ser,ci95."""
-    lines = ["scheme,order,snr_db,trials,errors,ser,ci95"]
+    lines = [",".join(_SER_KEYS)]
     for p in points:
-        lines.append(
-            f"{p.scheme},{p.order},{_fmt(p.snr_db)},{p.trials},{p.errors},"
-            f"{_fmt(p.ser)},{_fmt(p.ci95_halfwidth)}"
-        )
+        # Scheme names are bare words, unquoted in CSV.
+        values = dataclasses.astuple(p)
+        lines.append(",".join(v if isinstance(v, str) else _fmt(v) for v in values))
     return "\n".join(lines) + "\n"
 
 
 def ser_points_to_json(points: list[SerPoint]) -> str:
     """JSON mirror of the CSV rows (same fields, same float precision)."""
-    rows = []
-    for p in points:
-        rows.append(
-            "  {"
-            f'"scheme": "{p.scheme}", "order": {p.order}, "snr_db": {_fmt(p.snr_db)}, '
-            f'"trials": {p.trials}, "errors": {p.errors}, "ser": {_fmt(p.ser)}, '
-            f'"ci95": {_fmt(p.ci95_halfwidth)}'
-            "}"
-        )
+    rows = [
+        "  {" + ", ".join(map(_member, _SER_KEYS, dataclasses.astuple(p))) + "}" for p in points
+    ]
     return "[\n" + ",\n".join(rows) + "\n]\n"

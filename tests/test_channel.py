@@ -33,6 +33,7 @@ def test_transformed_magnitude_offset_level():
     assert _levels([1.3416, 0.0], 1.0, 2.0)[0] == pytest.approx(3.3416)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered in multiply:RuntimeWarning")
 def test_transformed_magnitude_rejects_non_finite():
     with pytest.raises(ValueError):
         effective_min_distance([float("nan"), 0.0], 1.0, 0.0)
@@ -103,3 +104,8 @@ def test_channel_state_validation():
         ChannelState(h=1.0, b=0.0, power=1.0, order=1)
     with pytest.raises(ValueError):
         ChannelState(h=complex(float("nan"), 0), b=0.0, power=1.0, order=2)
+    # The range rule: squares that leave [1e-150, 1e150], or |b|^2 above it.
+    for h, b, power in [(1e200, 0.0, 1.0), (1e-200, 0.0, 1.0), (1.0, 1e200, 1.0),
+                        (1.0, 0.0, 1e308), (1.0, 0.0, 1e-200)]:
+        with pytest.raises(ValueError):
+            ChannelState(h=h, b=b, power=power, order=2)

@@ -122,6 +122,9 @@ def test_sweep_rejects_integer_beyond_float_range(tmp_path):
         ({"channel_mode": {"mode": "rayleigh_per_trial"}, "snr_grid_db": [0, -4000]},
          "invalid config: snr_grid_db[1]:"),
         ({"snr_grid_db": [4000]}, "invalid config: snr_grid_db[0]:"),
+        # |b| so far above the spacing that LOAM's levels round together.
+        ({"reference_mode": {"mode": "threshold_ratio", "ratio": 1e24}},
+         "invalid config: reference_mode.ratio:"),
     ],
 )
 def test_sweep_rejects_values_whose_squares_leave_the_float_range(tmp_path, overrides, message):
@@ -134,7 +137,11 @@ def test_sweep_rejects_values_whose_squares_leave_the_float_range(tmp_path, over
     assert result.stdout == ""
 
 
-@pytest.mark.parametrize("flags", [("--b-re", "1e200"), ("--h-re", "1e300", "--b-re", "1e300")])
+@pytest.mark.parametrize(
+    "flags",
+    [("--b-re", "1e200"), ("--h-re", "1e300", "--b-re", "1e300"),
+     ("--h-re", "1e-200", "--b-re", "1e-201"), ("--power", "1e308")],
+)
 def test_design_reports_overflow_without_traceback(flags):
     args = {"--h-re": "1", "--power": "1", "--order": "4"}
     result = run_cli("design", *(x for pair in args.items() for x in pair), *flags)

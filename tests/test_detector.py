@@ -67,6 +67,15 @@ def test_pam_folds_pairwise():
     assert set(table.decision_index.tolist()) == {0, 1}
 
 
+def test_separate_tied_runs_collapse_to_their_lowest_index():
+    # Two runs of levels within the tie tolerance, each sorted with its
+    # higher index first, around an untied level.
+    table = build_detector([1 + 1e-13, 0.5, 1.0, 2.0, 2 - 2e-13], 1.0, 0.0)
+    assert table.ambiguous
+    assert table.symbol_index.tolist() == [1, 2, 0, 4, 3]
+    assert table.decision_index.tolist() == [1, 0, 0, 3, 3]
+
+
 def test_detect_examples():
     table, out = _strong_table()
     assert detect(table, 2.1) == 2  # nearest magnitude is 2.4472
@@ -84,6 +93,7 @@ def test_detect_rejects_bad_input():
 @pytest.mark.parametrize(
     "points", [[math.inf, 0.0], [math.nan, 1.0], [1.0, complex(0.0, -math.inf)]]
 )
+@pytest.mark.filterwarnings("ignore:invalid value encountered in multiply:RuntimeWarning")
 def test_build_detector_rejects_non_finite_points(points):
     with pytest.raises(ValueError, match="points must be finite"):
         build_detector(points, 1.0, 0.0)

@@ -471,6 +471,14 @@ def test_config_reports_offending_key_path():
         # sigma2 = 1e-140/1e170 is finite and positive but far below the smallest normal.
         ("json", {"channel_mode": {"mode": "fixed_channel", "h": [1e-70, 0]},
                   "snr_grid_db": [1700]}, "snr_grid_db[0]"),
+        # A reference so far above the signal that LOAM's levels tie in floating point.
+        ("json", {"reference_mode": {"mode": "threshold_ratio", "ratio": 1e24}},
+         "reference_mode.ratio"),
+        ("json", {"channel_mode": {"mode": "rayleigh_per_trial"},
+                  "reference_mode": {"mode": "threshold_ratio", "ratio": 1e24}},
+         "reference_mode.ratio"),
+        ("json", {"reference_mode": {"mode": "fixed_value", "b": [1.4e12, 0]}},
+         "reference_mode.b"),
     ],
 )
 def test_config_rejects_bools_and_non_finite_numbers(source, overrides, path):
@@ -555,11 +563,19 @@ def test_csv_format():
 
 
 def test_json_mirror_matches_csv_rows():
+    import csv
+    import io
     import json
 
-    points = sweep(["pam"], snrs=(0.0,), trials=1000)
+    points = sweep(["pam", "loam"], snrs=(0, 10), trials=1000)
+    assert all(type(p.snr_db) is float for p in points)
     rows = json.loads(ser_points_to_json(points))
-    assert len(rows) == 1
-    assert rows[0]["scheme"] == "pam"
-    assert rows[0]["trials"] == 1000
-    assert rows[0]["ser"] == points[0].ser
+    table = list(csv.DictReader(io.StringIO(ser_points_to_csv(points))))
+    assert [list(row) for row in rows] == [list(row) for row in table]
+    # Every field of every row: the CSV text parses to the JSON value, and
+    # both carry the SerPoint's values exactly.
+    assert rows == [
+        {key: value if key == "scheme" else json.loads(value) for key, value in row.items()}
+        for row in table
+    ]
+    assert rows == [dict(zip(row, dataclasses.astuple(p))) for row, p in zip(rows, points)]
