@@ -34,8 +34,17 @@ def _in_range(square) -> bool:
     return 1e-150 <= square <= 1e150
 
 
-def _as_finite_complex(value, name: str) -> complex:
-    z = complex(value)
+def _square(z: complex) -> float:
+    """|z|^2, or inf where it overflows; abs() of a complex and ** would raise there."""
+    return z.real * z.real + z.imag * z.imag
+
+
+def _as_finite(kind, value, name: str):
+    """kind(value), a float or complex; ValueError unless both its parts are finite."""
+    try:
+        z = kind(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got an int beyond the float range") from None
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return z
@@ -58,19 +67,18 @@ class ChannelState:
     order: int
 
     def __post_init__(self):
-        object.__setattr__(self, "h", _as_finite_complex(self.h, "h"))
-        object.__setattr__(self, "b", _as_finite_complex(self.b, "b"))
-        object.__setattr__(self, "power", float(self.power))
+        object.__setattr__(self, "h", _as_finite(complex, self.h, "h"))
+        object.__setattr__(self, "b", _as_finite(complex, self.b, "b"))
+        object.__setattr__(self, "power", _as_finite(float, self.power, "power"))
         object.__setattr__(self, "order", int(self.order))
         if self.h == 0:
             raise ValueError("channel gain h must be nonzero")
-        # A float product overflows to inf where ** would raise.
-        if not _in_range(abs(self.h) * abs(self.h)):
+        if not _in_range(_square(self.h)):
             raise ValueError(f"h must have |h|^2 within [1e-150, 1e150], got {self.h!r}")
-        if not abs(self.b) * abs(self.b) <= 1e150:
+        if not _square(self.b) <= 1e150:
             raise ValueError(f"b must have |b|^2 at most 1e150, got {self.b!r}")
         if not _in_range(self.power):
-            raise ValueError(f"power must be finite and within [1e-150, 1e150], got {self.power}")
+            raise ValueError(f"power must be within [1e-150, 1e150], got {self.power}")
         if self.order < 2:
             raise ValueError(f"order must be >= 2, got {self.order}")
 

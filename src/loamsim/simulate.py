@@ -23,7 +23,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .channel import ChannelState, snr_db_to_sigma2
+from .channel import ChannelState, _square, snr_db_to_sigma2
 from .constellations import (
     SCHEMES,
     _fmt,
@@ -122,7 +122,7 @@ def _check_state(path: str, **field) -> None:
     """ConfigError at path if ChannelState's range rule rejects the one field given."""
     try:
         ChannelState(**{"h": 1.0, "b": 0.0, "power": 1.0, "order": 2, **field})
-    except (ValueError, OverflowError) as exc:  # OverflowError: an int beyond the float range
+    except ValueError as exc:
         raise ConfigError(path, str(exc)) from None
 
 
@@ -165,6 +165,10 @@ class SweepConfig:
         object.__setattr__(self, "snr_grid_db", tuple(self.snr_grid_db))
 
     def validate(self) -> None:
+        self._scenario()
+
+    def _scenario(self) -> ChannelState:
+        """Check the config; return its scenario, |h| = 1 standing in under fading."""
         for i, scheme in enumerate(self.schemes):
             if not isinstance(scheme, str) or scheme not in SCHEMES:
                 raise ConfigError(f"schemes[{i}]", f"unknown scheme {scheme!r}")
@@ -194,7 +198,6 @@ class SweepConfig:
             if type(mode) not in _MODES[key].values():
                 raise ConfigError(key, f"unknown mode {mode!r}")
         fixed = isinstance(self.channel_mode, FixedChannel)
-        # |h| = 1 stands in for the channel under unit-power fading.
         h = self.channel_mode.h if fixed else 1.0
         _check_state("channel_mode.h", h=h)
         ratio = getattr(self.reference_mode, "ratio", 0)
@@ -206,18 +209,20 @@ class SweepConfig:
         _check_state(b_path, b=b)
         # The fading kernel divides by c = |b|/|h|, so a nonzero b, unlike a
         # ChannelState's, must also keep its square a normal float.
-        if b != 0 and abs(b) ** 2 < 1e-150:
+        if b != 0 and _square(b) < 1e-150:
             raise ConfigError(b_path, f"must give b = 0 or |b|^2 >= 1e-150, got b = {b!r}")
+        state = ChannelState(h=h, b=b, power=self.power, order=self.order)
         # Where every trial has the same c, LOAM's receive levels are those of
         # one table. Levels that tie in floating point would fold the design.
-        if fixed or not isinstance(self.reference_mode, FixedReference):
-            state = ChannelState(h=h, b=b, power=self.power, order=self.order)
+        # run_sweep builds it again for a fixed channel, at tens of microseconds.
+        uniform = fixed or not isinstance(self.reference_mode, FixedReference)
+        if "loam" in self.schemes and uniform:
             if build_detector(design_loam(state).points, h, b).ambiguous:
                 message = f"gives b = {b!r}, at which LOAM's receive levels round together"
                 raise ConfigError(b_path, message)
         for i, snr in enumerate(self.snr_grid_db):
             try:
-                sigma2 = _noise_variance(self, snr) if _number(snr) else math.nan
+                sigma2 = snr_db_to_sigma2(snr, state) if _number(snr) else math.nan
             except (OverflowError, ZeroDivisionError):  # 10**(snr/10) leaves the float range
                 sigma2 = math.nan
             if not np.finfo(float).tiny <= sigma2 < math.inf:
@@ -226,6 +231,7 @@ class SweepConfig:
                     "must be finite and give a finite, normal noise variance "
                     f"P*|h|^2/10^(snr/10), got {snr!r}",
                 )
+        return state
 
 
 @dataclass(frozen=True)
@@ -237,12 +243,6 @@ class SerPoint:
     errors: int
     ser: float
     ci95_halfwidth: float
-
-
-def _noise_variance(config: SweepConfig, snr: float) -> float:
-    """sigma2 at one SNR point, SNR = P*|h|^2/sigma2; |h| = 1 under unit-power fading."""
-    h = config.channel_mode.h if isinstance(config.channel_mode, FixedChannel) else 1.0
-    return snr_db_to_sigma2(snr, ChannelState(h=h, b=0.0, power=config.power, order=config.order))
 
 
 def _scheme_points(scheme: str, state: ChannelState) -> np.ndarray:
@@ -464,16 +464,13 @@ def run_sweep(config: SweepConfig, workers: int | None = None) -> list[SerPoint]
 
     Deterministic given the config seed, independent of `workers`.
     """
-    config.validate()
+    state = config._scenario()
     order, power = config.order, config.power
     trials = config.trials_per_point
-    fixed = isinstance(config.channel_mode, FixedChannel)
 
     kernels = {}  # scheme: block kernel taking (rng, n, sigma2, buffers)
-    if fixed:
-        h = complex(config.channel_mode.h)
-        b = _resolve_fixed_reference(config.reference_mode, h, power, order)
-        state = ChannelState(h=h, b=b, power=power, order=order)
+    if isinstance(config.channel_mode, FixedChannel):
+        h, b = state.h, state.b
         for scheme in set(config.schemes):
             points = _scheme_points(scheme, state)
             lo, hi = _acceptance_intervals(build_detector(points, h, b))
@@ -490,7 +487,7 @@ def run_sweep(config: SweepConfig, workers: int | None = None) -> list[SerPoint]
             )
 
     n_blocks = (trials + _BLOCK - 1) // _BLOCK
-    sigma2s = [_noise_variance(config, snr) for snr in config.snr_grid_db]
+    sigma2s = [snr_db_to_sigma2(snr, state) for snr in config.snr_grid_db]
     tasks = []
     for si, scheme in enumerate(config.schemes):
         for ni, sigma2 in enumerate(sigma2s):

@@ -106,6 +106,10 @@ def test_channel_state_validation():
         ChannelState(h=complex(float("nan"), 0), b=0.0, power=1.0, order=2)
     # The range rule: squares that leave [1e-150, 1e150], or |b|^2 above it.
     for h, b, power in [(1e200, 0.0, 1.0), (1e-200, 0.0, 1.0), (1.0, 1e200, 1.0),
-                        (1.0, 0.0, 1e308), (1.0, 0.0, 1e-200)]:
+                        (1.0, 0.0, 1e308), (1.0, 0.0, 1e-200),
+                        # Finite parts whose modulus overflows, and ints beyond a float.
+                        (complex(1.5e308, 1.5e308), 0.0, 1.0),
+                        (1.0, complex(1.5e308, 1.5e308), 1.0),
+                        (10**400, 0.0, 1.0), (1.0, 10**400, 1.0), (1.0, 0.0, 10**400)]:
         with pytest.raises(ValueError):
             ChannelState(h=h, b=b, power=power, order=2)

@@ -140,7 +140,8 @@ def test_sweep_rejects_values_whose_squares_leave_the_float_range(tmp_path, over
 @pytest.mark.parametrize(
     "flags",
     [("--b-re", "1e200"), ("--h-re", "1e300", "--b-re", "1e300"),
-     ("--h-re", "1e-200", "--b-re", "1e-201"), ("--power", "1e308")],
+     ("--h-re", "1e-200", "--b-re", "1e-201"), ("--power", "1e308"),
+     ("--h-re", "1.5e308", "--h-im", "1.5e308"), ("--b-re", "1.5e308", "--b-im", "1.5e308")],
 )
 def test_design_reports_overflow_without_traceback(flags):
     args = {"--h-re": "1", "--power": "1", "--order": "4"}

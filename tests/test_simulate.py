@@ -490,6 +490,20 @@ def test_config_rejects_bools_and_non_finite_numbers(source, overrides, path):
     assert err.value.path == path
 
 
+@pytest.mark.parametrize("fading", [False, True])
+def test_tie_check_applies_only_to_loam(fading):
+    """A reference that folds LOAM's levels is refused only where LOAM runs."""
+    channel = {"mode": "rayleigh_per_trial"} if fading else {"mode": "fixed_channel", "h": [1, 0]}
+    reference = {"mode": "threshold_ratio", "ratio": 1e24}
+    with pytest.raises(ConfigError) as err:
+        sweep_config_from_dict(_config_doc(channel_mode=channel, reference_mode=reference))
+    assert err.value.path == "reference_mode.ratio"
+    config = sweep_config_from_dict(
+        _config_doc(schemes=["pam", "psk", "qam"], channel_mode=channel, reference_mode=reference)
+    )
+    assert len(run_sweep(config, workers=1)) == 6
+
+
 # Finite floats >= 0: hypothesis's own mix of edge values, and magnitudes
 # spread over the decades of the float range.
 _MAGNITUDE = st.one_of(
