@@ -22,7 +22,6 @@ from loamsim import (
     effective_min_distance,
     oracle_free_search_m2,
     oracle_ray_search,
-    spacing_weak,
     strong_reference_threshold,
 )
 
@@ -31,7 +30,7 @@ def _outward_spacing(c_mag, power, order):
     """Spacing of a design anchored at c_mag that walks away from the origin.
 
     Positive root d of (1/M) * sum_{i=0}^{M-1} (c_mag + i*d)^2 = P, the
-    outward counterpart of spacing_weak.
+    outward counterpart of the weak-regime design's inward spacing.
     """
     a = (order - 1) * (2 * order - 1) / 6.0
     lin = -c_mag * (order - 1)
@@ -79,7 +78,8 @@ def main():
 
     print("\ninward vs outward anchoring (weak regime, M=4, P=1):")
     for c_mag in (0.0, 0.3, 0.6, 0.9):
-        inward = spacing_weak(c_mag, 1.0, 4)
+        state = ChannelState(h=1.0, b=c_mag, power=1.0, order=4)
+        inward = design_loam(state).spacing
         outward = _outward_spacing(c_mag, 1.0, 4)
         print(
             f"  |c|={c_mag:.1f}: inward spacing {inward:.4f}  outward spacing {outward:.4f}"

@@ -23,7 +23,8 @@ from .constellations import (
     mean_power,
     strong_reference_threshold,
 )
-from .oracle import oracle_free_search_m2, oracle_ray_search, power_feasible
+from .detector import build_detector
+from .oracle import oracle_free_search_m2, oracle_ray_search
 from .simulate import (
     ConfigError,
     run_sweep,
@@ -54,10 +55,14 @@ def _cmd_design(args, parser: argparse.ArgumentParser) -> int:
         # land on |b|) and to the range rule.
         state = ChannelState(h=h, b=b, power=args.power, order=args.order)
         if gen is None:
-            text = design_to_json(design_loam(state))
+            design = design_loam(state)
+            # The detector's tie rule decides whether the levels stay apart.
+            if build_detector(design.points, state.h, state.b).ambiguous:
+                raise ValueError(f"LOAM's receive levels round together at b = {b!r}")
+            text = design_to_json(design)
         else:
             text = constellation_to_json(gen(args.power, args.order), h, b)
-    except ValueError as exc:  # includes InfeasibleDesignError
+    except ValueError as exc:
         print(f"design failed: {exc}", file=sys.stderr)
         return 1
     _write_artifact(text, args.out)
@@ -118,10 +123,11 @@ def _verify_checks(order: int, scenarios: int, seed: int):
                 abs(rel_gap) <= 1e-9,
                 f"measured={found:.6g} expected={expected:.6g} rel_gap={rel_gap:.2e}",
             )
+            power = mean_power(outcome.points)
             yield (
                 f"design power feasibility [{regime} #{case}]",
-                power_feasible(outcome.points, state.power),
-                f"mean_power={mean_power(outcome.points):.9f} budget={state.power}",
+                power <= state.power * (1 + 1e-9),
+                f"mean_power={power:.9f} budget={state.power}",
             )
     if order == 2:
         for case in range(scenarios):

@@ -18,6 +18,7 @@ starting at zero.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import enum
 import math
 from dataclasses import dataclass
@@ -29,12 +30,8 @@ from .channel import ChannelState
 __all__ = [
     "Regime",
     "Constellation",
-    "DesignOutcome",
-    "InfeasibleDesignError",
-    "classify_regime",
     "strong_reference_threshold",
     "spacing_strong",
-    "spacing_weak",
     "design_loam",
     "gen_pam",
     "gen_psk",
@@ -51,10 +48,6 @@ _LO_FREE_RTOL = 1e-12
 _BOUNDARY_RTOL = 1e-12
 
 
-class InfeasibleDesignError(ValueError):
-    """No constellation satisfies the power budget for the requested geometry."""
-
-
 class Regime(enum.Enum):
     """Operating regime of the adaptive design."""
 
@@ -65,36 +58,23 @@ class Regime(enum.Enum):
 
 @dataclass
 class Constellation:
-    """An ordered symbol alphabet with its scheme label."""
+    """An ordered symbol alphabet with its scheme label; M is points.size.
 
-    points: np.ndarray
+    design_loam fills every field: magnitudes[i] is |h*points[i] + b|, and the
+    points are indexed so that magnitudes strictly increase. The fixed
+    alphabets of gen_pam, gen_qam and gen_psk leave regime, ray_phase, spacing
+    and magnitudes None.
+    """
+
     scheme: str
-    order: int
+    points: np.ndarray
+    regime: Regime | None = None
+    ray_phase: float | None = None
+    spacing: float | None = None
+    magnitudes: np.ndarray | None = None
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=complex)
-        if self.points.size != self.order:
-            raise ValueError("points length must equal order")
-
-
-@dataclass
-class DesignOutcome:
-    """A designed constellation plus its geometry summary.
-
-    magnitudes[i] is |h*points[i] + b|. A designed alphabet is indexed so that
-    magnitudes strictly increase; constellation_to_json also wraps a fixed
-    alphabet in one, with regime, ray_phase and spacing None.
-    """
-
-    constellation: Constellation
-    regime: Regime
-    ray_phase: float
-    spacing: float
-    magnitudes: np.ndarray
-
-    @property
-    def points(self) -> np.ndarray:
-        return self.constellation.points
 
 
 def mean_power(points) -> float:
@@ -117,17 +97,6 @@ def _strong_reference(b_mag, h_mag, power: float, order: int):
     """
     threshold = strong_reference_threshold(power, order, h_mag)
     return b_mag**2 >= threshold * (1.0 - _BOUNDARY_RTOL)
-
-
-def classify_regime(state: ChannelState) -> Regime:
-    """Classify the scenario; boundary equality counts as strong."""
-    b_mag = abs(state.b)
-    h_mag = abs(state.h)
-    if b_mag <= _LO_FREE_RTOL * math.sqrt(state.power) * h_mag:
-        return Regime.LO_FREE
-    if _strong_reference(b_mag, h_mag, state.power, state.order):
-        return Regime.STRONG_REFERENCE
-    return Regime.WEAK_REFERENCE
 
 
 def _check_budget(power: float, order: int) -> None:
@@ -155,67 +124,50 @@ def _spacing_root(c_mag, power: float, order: int, sqrt=math.sqrt):
     return (lin + sqrt(disc)) / (2.0 * a)
 
 
-def spacing_weak(c_mag: float, power: float, order: int) -> float:
-    """Positive root of the inward anchored power equation.
-
-    Solves (1/M) * sum_{i=0}^{M-1} (c_mag - i*d)^2 = P for the largest d > 0:
-    the spacing of a design anchored at distance c_mag from the origin and
-    extending back toward it (and past it). Walking inward costs less power
-    than walking outward, which is why the weak-regime design crosses the
-    origin; at c_mag = 0 the two directions coincide.
-    """
-    _check_budget(power, order)
-    c_mag = float(c_mag)
-    if c_mag < 0:
-        raise ValueError("c_mag must be >= 0")
-    try:
-        d = _spacing_root(c_mag, power, order)
-    except ValueError:  # math.sqrt of a negative discriminant
-        d = 0.0
-    if d <= 0:
-        raise InfeasibleDesignError(
-            f"no positive spacing for anchor {c_mag} under power {power}"
-        )
-    return d
-
-
-def design_loam(state: ChannelState) -> DesignOutcome:
+def design_loam(state: ChannelState) -> Constellation:
     """Design the max-min-magnitude-gap constellation for one scenario.
 
     Points are indexed so that received magnitudes strictly increase; the
-    power budget is met with equality in every regime.
+    power budget is met with equality in every regime. Boundary equality of
+    the regime test counts as strong.
     """
-    regime = classify_regime(state)
     order = state.order
     power = state.power
+    b_mag = abs(state.b)
+    h_mag = abs(state.h)
     idx = np.arange(order, dtype=float)
 
-    if regime is Regime.LO_FREE:
+    if b_mag <= _LO_FREE_RTOL * math.sqrt(power) * h_mag:
         # Unipolar ramp from zero along the positive real axis (any phase is
         # equivalent by rotation; 0 is the convention).
+        regime = Regime.LO_FREE
         ray_phase = 0.0
-        d = spacing_weak(0.0, power, order)
+        d = _spacing_root(0.0, power, order)
         rotated = idx * d
     else:
         null_point = -state.b / state.h
         ray_phase = cmath.phase(null_point)
         c_mag = abs(null_point)
-        if regime is Regime.STRONG_REFERENCE:
+        if _strong_reference(b_mag, h_mag, power, order):
+            regime = Regime.STRONG_REFERENCE
             d = spacing_strong(power, order)
             # Centered on the origin, enumerated from the c side outward so
             # that magnitudes |h*x + b| ascend with the index.
             rotated = (order - 1) * d / 2.0 - idx * d
         else:
-            d = spacing_weak(c_mag, power, order)
+            regime = Regime.WEAK_REFERENCE
+            # Weak means c_mag^2 < 3P(M-1)/(M+1) < 2P(2M-1)/(M+1), so the
+            # discriminant is positive and the root d > 0.
+            d = _spacing_root(c_mag, power, order)
             # First point sits exactly on the null point (received amplitude
             # zero); the rest walk inward through the origin.
             rotated = c_mag - idx * d
 
     points = np.exp(1j * ray_phase) * rotated
     magnitudes = np.abs(state.h * points + state.b)
-    constellation = Constellation(points=points, scheme="LOAM", order=order)
-    return DesignOutcome(
-        constellation=constellation,
+    return Constellation(
+        scheme="LOAM",
+        points=points,
         regime=regime,
         ray_phase=ray_phase,
         spacing=d,
@@ -227,7 +179,7 @@ def gen_pam(power: float, order: int) -> Constellation:
     """Real-axis PAM with standard spacing sqrt(12P/(M^2-1)); mean power P."""
     d = spacing_strong(power, order)
     levels = -(order - 1) * d / 2.0 + np.arange(order) * d
-    return Constellation(points=levels.astype(complex), scheme="PAM", order=order)
+    return Constellation(scheme="PAM", points=levels.astype(complex))
 
 
 def gen_psk(power: float, order: int) -> Constellation:
@@ -235,7 +187,7 @@ def gen_psk(power: float, order: int) -> Constellation:
     _check_budget(power, order)
     k = np.arange(order)
     points = math.sqrt(power) * np.exp(2j * math.pi * k / order)
-    return Constellation(points=points, scheme="PSK", order=order)
+    return Constellation(scheme="PSK", points=points)
 
 
 def gen_qam(power: float, order: int) -> Constellation:
@@ -248,7 +200,7 @@ def gen_qam(power: float, order: int) -> Constellation:
     grid = levels[:, None] + 1j * levels[None, :]
     points = grid.ravel()
     points = points * math.sqrt(power / mean_power(points))
-    return Constellation(points=points, scheme="QAM", order=order)
+    return Constellation(scheme="QAM", points=points)
 
 
 # Scheme name -> generator of its fixed alphabet, gen(power, order). LOAM has
@@ -281,16 +233,16 @@ def _member(key: str, value) -> str:
     return f'"{key}": {_fmt(value)}'
 
 
-def design_to_json(outcome: DesignOutcome) -> str:
-    """Serialize a DesignOutcome; doubles carry 17 significant digits."""
+def design_to_json(constellation: Constellation) -> str:
+    """Serialize a Constellation; doubles carry 17 significant digits."""
     members = {
-        "scheme": outcome.constellation.scheme,
-        "order": outcome.constellation.order,
-        "regime": None if outcome.regime is None else outcome.regime.value,
-        "ray_phase": outcome.ray_phase,
-        "spacing": outcome.spacing,
-        "points": outcome.points,
-        "magnitudes": outcome.magnitudes,
+        "scheme": constellation.scheme,
+        "order": constellation.points.size,
+        "regime": None if constellation.regime is None else constellation.regime.value,
+        "ray_phase": constellation.ray_phase,
+        "spacing": constellation.spacing,
+        "points": constellation.points,
+        "magnitudes": constellation.magnitudes,
     }
     return "{\n" + ",\n".join(f"  {_member(k, v)}" for k, v in members.items()) + "\n}\n"
 
@@ -299,4 +251,4 @@ def constellation_to_json(constellation: Constellation, h, b) -> str:
     """Serialize a baseline constellation with its magnitudes under (h, b);
     a fixed alphabet's regime, ray_phase and spacing are null."""
     magnitudes = np.abs(complex(h) * constellation.points + complex(b))
-    return design_to_json(DesignOutcome(constellation, None, None, None, magnitudes))
+    return design_to_json(dataclasses.replace(constellation, magnitudes=magnitudes))

@@ -56,23 +56,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import ChannelState
-from .constellations import mean_power
 
 __all__ = [
-    "power_feasible",
     "RaySearchResult",
     "oracle_ray_search",
     "FreeSearchResult",
     "oracle_free_search_m2",
 ]
-
-_POWER_SLACK = 1.0 + 1e-9
-
-
-def power_feasible(points, power: float) -> bool:
-    """True when mean power does not exceed the budget (tiny slack allowed)."""
-    return mean_power(points) <= power * _POWER_SLACK
-
 
 class RaySearchResult(NamedTuple):
     min_distance: float

@@ -212,11 +212,11 @@ class SweepConfig:
         if b != 0 and _square(b) < 1e-150:
             raise ConfigError(b_path, f"must give b = 0 or |b|^2 >= 1e-150, got b = {b!r}")
         state = ChannelState(h=h, b=b, power=self.power, order=self.order)
-        # Where every trial has the same c, LOAM's receive levels are those of
-        # one table. Levels that tie in floating point would fold the design.
-        # run_sweep builds it again for a fixed channel, at tens of microseconds.
-        uniform = fixed or not isinstance(self.reference_mode, FixedReference)
-        if "loam" in self.schemes and uniform:
+        # Levels that tie in floating point would fold LOAM's design. Under
+        # fading the |h| = 1 stand-in is checked, for `fixed_value` too, whose
+        # c = |b|/|h| differs per trial. run_sweep builds the table again for a
+        # fixed channel, at tens of microseconds.
+        if "loam" in self.schemes:
             if build_detector(design_loam(state).points, h, b).ambiguous:
                 message = f"gives b = {b!r}, at which LOAM's receive levels round together"
                 raise ConfigError(b_path, message)

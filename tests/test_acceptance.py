@@ -24,7 +24,6 @@ from loamsim import (
     ThresholdRatioReference,
     ZeroReference,
     build_detector,
-    classify_regime,
     design_loam,
     detect,
     effective_min_distance,
@@ -143,7 +142,7 @@ def test_criterion_4_regime_threshold():
         for mult in (0.99, 1.0, 1.01):
             b = math.sqrt(mult * threshold) * np.exp(1j * rng.uniform(0, 2 * math.pi))
             state = ChannelState(h=complex(h), b=complex(b), power=power, order=order)
-            regimes.append(classify_regime(state))
+            regimes.append(design_loam(state).regime)
             if mult == 1.0:
                 out = design_loam(state)
                 c_mag = abs(state.b / state.h)

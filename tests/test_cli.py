@@ -141,7 +141,9 @@ def test_sweep_rejects_values_whose_squares_leave_the_float_range(tmp_path, over
     "flags",
     [("--b-re", "1e200"), ("--h-re", "1e300", "--b-re", "1e300"),
      ("--h-re", "1e-200", "--b-re", "1e-201"), ("--power", "1e308"),
-     ("--h-re", "1.5e308", "--h-im", "1.5e308"), ("--b-re", "1.5e308", "--b-im", "1.5e308")],
+     ("--h-re", "1.5e308", "--h-im", "1.5e308"), ("--b-re", "1.5e308", "--b-im", "1.5e308"),
+     # Within the range rule, but LOAM's receive levels round together.
+     ("--b-re", "1e20")],
 )
 def test_design_reports_overflow_without_traceback(flags):
     args = {"--h-re": "1", "--power": "1", "--order": "4"}
@@ -150,6 +152,15 @@ def test_design_reports_overflow_without_traceback(flags):
     assert "design failed:" in result.stderr
     assert "Traceback" not in result.stderr
     assert result.stdout == ""
+
+
+@pytest.mark.parametrize("scheme,b_re", [("loam", "1e8"), ("pam", "1e20")])
+def test_design_refuses_only_folded_loam(scheme, b_re):
+    """LOAM at b = 1e8 keeps its levels apart; a baseline prints its fold."""
+    result = run_cli("design", "--h-re", "1", "--power", "1", "--order", "4",
+                     "--b-re", b_re, "--scheme", scheme)
+    assert result.returncode == 0
+    assert len(json.loads(result.stdout)["magnitudes"]) == 4
 
 
 def test_sweep_row_count_and_reproducibility(tmp_path):

@@ -6,9 +6,7 @@ import pytest
 
 from loamsim import (
     ChannelState,
-    InfeasibleDesignError,
     Regime,
-    classify_regime,
     constellation_to_json,
     design_loam,
     design_to_json,
@@ -18,9 +16,9 @@ from loamsim import (
     gen_qam,
     mean_power,
     spacing_strong,
-    spacing_weak,
     strong_reference_threshold,
 )
+from loamsim.constellations import _spacing_root
 
 RNG = np.random.default_rng(20240501)
 
@@ -84,15 +82,9 @@ def _saturating_spacing_by_bisection(c_mag, power, order, inward):
 
 @pytest.mark.parametrize("c_mag,power,order", [(0.0, 1.0, 4), (0.6, 1.0, 4), (1.2, 1.0, 4), (0.4, 0.7, 8)])
 def test_spacing_weak_matches_bisection(c_mag, power, order):
-    d = spacing_weak(c_mag, power, order)
+    d = _spacing_root(c_mag, power, order)
     ref = _saturating_spacing_by_bisection(c_mag, power, order, inward=True)
     assert d == pytest.approx(ref, rel=1e-9)
-
-
-def test_spacing_weak_infeasible():
-    # at M = 4 no inward root exists once c^2 > 2.8 P
-    with pytest.raises(InfeasibleDesignError):
-        spacing_weak(1.7, 1.0, 4)
 
 
 def test_spacing_weak_dominates_anchor():
@@ -103,12 +95,12 @@ def test_spacing_weak_dominates_anchor():
         order = int(rng.integers(2, 17))
         c_mag = float(rng.uniform(0.0, 0.99 * math.sqrt(power)))
         outward = _saturating_spacing_by_bisection(c_mag, power, order, inward=False)
-        assert spacing_weak(c_mag, power, order) >= outward - 1e-12
+        assert _spacing_root(c_mag, power, order) >= outward - 1e-12
 
 
 def test_spacing_weak_equals_anchor_at_origin():
     for order in (2, 4, 8):
-        assert spacing_weak(0.0, 1.0, order) == pytest.approx(
+        assert _spacing_root(0.0, 1.0, order) == pytest.approx(
             _saturating_spacing_by_bisection(0.0, 1.0, order, inward=False), rel=1e-12
         )
 
@@ -118,21 +110,18 @@ def test_spacing_weak_equals_anchor_at_origin():
 # ---------------------------------------------------------------------------
 
 def test_classify_regime_examples():
-    assert classify_regime(ChannelState(h=1.0, b=0.0, power=1.0, order=4)) is Regime.LO_FREE
-    assert (
-        classify_regime(ChannelState(h=1.0, b=2.0, power=1.0, order=4))
-        is Regime.STRONG_REFERENCE
-    )
-    assert (
-        classify_regime(ChannelState(h=1.0, b=0.6, power=1.0, order=4))
-        is Regime.WEAK_REFERENCE
-    )
+    def regime(b):
+        return design_loam(ChannelState(h=1.0, b=b, power=1.0, order=4)).regime
+
+    assert regime(0.0) is Regime.LO_FREE
+    assert regime(2.0) is Regime.STRONG_REFERENCE
+    assert regime(0.6) is Regime.WEAK_REFERENCE
 
 
 def test_classify_regime_boundary_is_strong():
     threshold = strong_reference_threshold(1.0, 4, 1.0)
     state = ChannelState(h=1.0, b=math.sqrt(threshold), power=1.0, order=4)
-    assert classify_regime(state) is Regime.STRONG_REFERENCE
+    assert design_loam(state).regime is Regime.STRONG_REFERENCE
 
 
 # ---------------------------------------------------------------------------

@@ -8,19 +8,12 @@ from loamsim import (
     ChannelState,
     design_loam,
     effective_min_distance,
+    mean_power,
     oracle_free_search_m2,
     oracle_ray_search,
-    power_feasible,
     strong_reference_threshold,
 )
 from loamsim.oracle import _least_power_offsets
-
-
-def test_power_feasible_examples():
-    assert power_feasible([-1 + 0j, 1 + 0j], 1.0)
-    assert not power_feasible([-1.1 + 0j, 1.1 + 0j], 1.0)
-    out = design_loam(ChannelState(h=1.0, b=0.6, power=1.0, order=4))
-    assert power_feasible(out.points, 1.0)
 
 
 def test_ray_search_strong_m2():
@@ -45,7 +38,7 @@ def test_ray_search_weak_m4():
 def test_ray_search_offsets_are_feasible():
     state = ChannelState(h=1.0, b=0.6, power=1.0, order=4)
     result = oracle_ray_search(state)
-    assert power_feasible(result.offsets.astype(complex), 1.0)
+    assert mean_power(result.offsets) <= 1.0 * (1 + 1e-9)
 
 
 def test_ray_search_matches_closed_form_random():
@@ -173,7 +166,7 @@ def test_free_search_bound_holds_by_brute_force():
         result = oracle_free_search_m2(h, b, power)
         bound = result.min_distance * (1.0 + 1e-12)
 
-        assert power_feasible([result.x0, result.x1], power)
+        assert mean_power([result.x0, result.x1]) <= power * (1 + 1e-9)
         assert _pair_gaps(h, b, result.x0, result.x1) == pytest.approx(
             result.min_distance, rel=1e-12
         )

@@ -6,12 +6,10 @@ PUBLIC_NAMES = [
     "ChannelState",
     "ConfigError",
     "Constellation",
-    "DesignOutcome",
     "DetectorTable",
     "FixedChannel",
     "FixedReference",
     "FreeSearchResult",
-    "InfeasibleDesignError",
     "RaySearchResult",
     "RayleighPerTrial",
     "Regime",
@@ -21,7 +19,6 @@ PUBLIC_NAMES = [
     "ZeroReference",
     "__version__",
     "build_detector",
-    "classify_regime",
     "constellation_to_json",
     "design_loam",
     "design_to_json",
@@ -33,13 +30,11 @@ PUBLIC_NAMES = [
     "mean_power",
     "oracle_free_search_m2",
     "oracle_ray_search",
-    "power_feasible",
     "run_sweep",
     "ser_points_to_csv",
     "ser_points_to_json",
     "snr_db_to_sigma2",
     "spacing_strong",
-    "spacing_weak",
     "strong_reference_threshold",
     "sweep_config_from_dict",
     "theoretical_ser_asymptotic",

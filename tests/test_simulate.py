@@ -13,11 +13,13 @@ from loamsim import (
     FixedChannel,
     FixedReference,
     RayleighPerTrial,
+    Regime,
     SweepConfig,
     ThresholdRatioReference,
     ZeroReference,
     build_detector,
     design_loam,
+    detect,
     run_sweep,
     ser_points_to_csv,
     ser_points_to_json,
@@ -248,11 +250,8 @@ def _midpoint_count_errors(symbols, h, b, noise, power, order):
     return int(np.count_nonzero(np.sum(z[:, None] > mids, axis=1) != symbols)), z
 
 
-def _full_matrix_rayleigh_errors(rng, n, sigma2, order, power, scheme, reference_mode):
-    """Fading block with every temporary allocated and n x M detection.
-
-    Returns the error count and the observations z.
-    """
+def _rayleigh_draws(rng, n, sigma2, order, power, reference_mode):
+    """A fading block's (symbols, h, b, noise), drawn in the kernel's order."""
     symbols = rng.integers(0, order, size=n)
     h = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2.0)
     if isinstance(reference_mode, ThresholdRatioReference):
@@ -262,6 +261,15 @@ def _full_matrix_rayleigh_errors(rng, n, sigma2, order, power, scheme, reference
     else:
         b = np.full(n, complex(reference_mode.b))
     noise = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * math.sqrt(sigma2 / 2.0)
+    return symbols, h, b, noise
+
+
+def _full_matrix_rayleigh_errors(rng, n, sigma2, order, power, scheme, reference_mode):
+    """Fading block with every temporary allocated and n x M detection.
+
+    Returns the error count and the observations z.
+    """
+    symbols, h, b, noise = _rayleigh_draws(rng, n, sigma2, order, power, reference_mode)
     if scheme == "loam":
         return _midpoint_count_errors(symbols, h, b, noise, power, order)
     return _one_shot_baseline_errors(symbols, h, b, noise, SCHEMES[scheme](power, order).points)
@@ -356,6 +364,41 @@ def test_rayleigh_block_matches_full_matrix_kernel(reference, order):
             # The z buffer holds the whole block for LOAM, the last row chunk otherwise.
             last = n if scheme == "loam" else (n - 1) % (_CHUNK // order) + 1
             np.testing.assert_array_equal(buffers["z"][:last], z[n - last:])
+
+
+# SNRs at which 15-42 % of the trials err, so that a changed decision rule shows.
+@pytest.mark.parametrize("order,snr", [(4, 10.0), (64, 30.0)])
+@pytest.mark.parametrize(
+    "reference,regimes",
+    [
+        (FixedReference(b=0.8 - 0.3j), {Regime.WEAK_REFERENCE, Regime.STRONG_REFERENCE}),
+        (ThresholdRatioReference(ratio=1.0 / 3.0), {Regime.WEAK_REFERENCE}),
+        (ThresholdRatioReference(ratio=2.0), {Regime.STRONG_REFERENCE}),
+    ],
+)
+def test_rayleigh_loam_block_matches_scalar_path(reference, regimes, order, snr):
+    """A fading LOAM block errs as its trials do through the scalar designer and detector.
+
+    Each trial goes through ChannelState, design_loam, build_detector and
+    detect. A trial whose z lies within 1e-9 (relative) of a threshold may go
+    either way. b = 0 is left out: there the kernel sends -i*d where
+    design_loam sends +i*d, two equally valid LO-free designs.
+    """
+    n, sigma2 = 1500, 10.0 ** (-snr / 10.0)
+    got = _rayleigh_block(_block_rng(4, 0, order, 0), n, sigma2, {}, order, 1.0, None, reference)
+    symbols, h, b, noise = _rayleigh_draws(_block_rng(4, 0, order, 0), n, sigma2, order, 1.0,
+                                           reference)
+    errors = near = 0
+    seen = set()
+    for k in range(n):
+        design = design_loam(ChannelState(h=h[k], b=b[k], power=1.0, order=order))
+        seen.add(design.regime)
+        table = build_detector(design.points, h[k], b[k])
+        z = abs(h[k] * design.points[symbols[k]] + b[k] + noise[k])
+        near += bool(np.min(np.abs(table.thresholds - z)) <= 1e-9 * z)
+        errors += detect(table, z) != symbols[k]
+    assert seen == regimes
+    assert abs(errors - got) <= near
 
 
 def test_rayleigh_deterministic_across_workers():
@@ -479,6 +522,10 @@ def test_config_reports_offending_key_path():
          "reference_mode.ratio"),
         ("json", {"reference_mode": {"mode": "fixed_value", "b": [1.4e12, 0]}},
          "reference_mode.b"),
+        # Under fading, fixed_value is checked at the |h| = 1 stand-in too.
+        ("json", {"channel_mode": {"mode": "rayleigh_per_trial"},
+                  "reference_mode": {"mode": "fixed_value", "b": [1e16, 0]}},
+         "reference_mode.b"),
     ],
 )
 def test_config_rejects_bools_and_non_finite_numbers(source, overrides, path):
@@ -494,14 +541,18 @@ def test_config_rejects_bools_and_non_finite_numbers(source, overrides, path):
 def test_tie_check_applies_only_to_loam(fading):
     """A reference that folds LOAM's levels is refused only where LOAM runs."""
     channel = {"mode": "rayleigh_per_trial"} if fading else {"mode": "fixed_channel", "h": [1, 0]}
-    reference = {"mode": "threshold_ratio", "ratio": 1e24}
-    with pytest.raises(ConfigError) as err:
-        sweep_config_from_dict(_config_doc(channel_mode=channel, reference_mode=reference))
-    assert err.value.path == "reference_mode.ratio"
-    config = sweep_config_from_dict(
-        _config_doc(schemes=["pam", "psk", "qam"], channel_mode=channel, reference_mode=reference)
-    )
-    assert len(run_sweep(config, workers=1)) == 6
+    for reference, path in [
+        ({"mode": "threshold_ratio", "ratio": 1e24}, "reference_mode.ratio"),
+        ({"mode": "fixed_value", "b": [1e16, 0]}, "reference_mode.b"),
+    ]:
+        with pytest.raises(ConfigError) as err:
+            sweep_config_from_dict(_config_doc(channel_mode=channel, reference_mode=reference))
+        assert err.value.path == path
+        config = sweep_config_from_dict(
+            _config_doc(schemes=["pam", "psk", "qam"], channel_mode=channel,
+                        reference_mode=reference)
+        )
+        assert len(run_sweep(config, workers=1)) == 6
 
 
 # Finite floats >= 0: hypothesis's own mix of edge values, and magnitudes
