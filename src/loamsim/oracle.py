@@ -6,7 +6,17 @@ Two searches back the designer's claims:
   between received magnitudes over M real offsets along the line through
   the origin and the null point, under the power budget.
 * oracle_free_search_m2 drops the co-linearity assumption entirely and
-  finds the exact optimum of an M = 2 alphabet over the full complex plane.
+  finds the exact optimum of an M = 2 alphabet over the full complex plane,
+  an M = 2 certificate that does not rest on the collinearity lemma below.
+
+Collinearity lemma (every M). A point x is received at |h|*|x - w|, where
+w = -b/h is the null point. Map each point x_k of any alphabet, along its
+circle about w, onto the line through 0 and w, on the origin's side of w:
+x_k' = w - r_k*w/|w| with r_k = |x_k - w| (any unit direction in place of
+w/|w| when b = 0). Its receive level |h|*r_k stays the same, and
+|x_k'| = ||w| - r_k| <= |x_k| by the triangle inequality, so the power does
+not rise. Co-linear alphabets therefore lose nothing at any M, and the ray
+search's optimum is the optimum over every alphabet in the complex plane.
 
 The ray search works in the frame where the null point sits at
 c = |b|/|h| >= 0 on the real axis, so an offset u is received at |h|*|u - c|.
@@ -75,15 +85,25 @@ class FreeSearchResult(NamedTuple):
     x1: complex
 
 
-def _least_power_offsets(c_mag: float, spacing: float, order: int) -> np.ndarray:
+def _least_power_offsets(
+    c_mag: float, spacing: float, k: np.ndarray, out: np.ndarray, scratch: np.ndarray
+) -> np.ndarray:
     """Offsets of least power whose radii about c_mag are >= spacing apart.
 
     By the sign lemma each offset sits at c_mag - r_k, and with
     r_k = q_k + k*spacing the offset is y_k - q_k for y_k = c_mag - k*spacing.
-    Every q_k is max(mean(y), 0) by the power bound, summed in index order.
+    Every q_k is max(mean(y), 0) by the power bound, summed in index order
+    (the sequential sum that np.cumsum computes, not np.sum's pairwise one).
+    `k` holds 0, ..., M-1 as floats; the offsets are written into `out`,
+    which is returned, and `scratch` is overwritten. Nothing is allocated.
     """
-    y = c_mag - spacing * np.arange(order)
-    return y - max(np.cumsum(y)[-1] / order, 0.0)
+    np.multiply(spacing, k, out=out)
+    np.subtract(c_mag, out, out=out)
+    pooled = np.add.accumulate(out, out=scratch)[-1] / k.size
+    # y - max(pooled, 0.0) is y itself when pooled <= 0.
+    if pooled > 0.0:
+        np.subtract(out, pooled, out=out)
+    return out
 
 
 def oracle_ray_search(state: ChannelState, steps=None, seed=None) -> RaySearchResult:
@@ -92,25 +112,33 @@ def oracle_ray_search(state: ChannelState, steps=None, seed=None) -> RaySearchRe
     Bisects the spacing d over [0, 2*sqrt(M*P)/(M-1)] on the exact minimum
     power at d until the floating-point bracket stops shrinking. No radius
     gap can exceed that upper end: every |u_k| <= sqrt(M*P), so radii span
-    at most 2*sqrt(M*P). `steps` and `seed` are accepted for compatibility
-    and unused; the search is exact and deterministic.
+    at most 2*sqrt(M*P). Each step uses `_least_power_offsets`' arithmetic
+    bit for bit, as the returned offsets do, and takes their mean power as
+    np.mean(offsets ** 2) would (np.add.reduce's pairwise sum), all in two
+    buffers allocated once per search. `steps` and `seed` are accepted for
+    compatibility and unused; the search is exact and deterministic.
 
     Returns (min_distance in receive units, offsets in the rotated frame).
     """
     order, power = state.order, state.power
     h_mag = abs(state.h)
     c_mag = abs(state.b) / h_mag
+    k = np.arange(order, dtype=float)
+    offsets = np.empty(order)
+    scratch = np.empty(order)
     lo, hi = 0.0, 2.0 * math.sqrt(order * power) / (order - 1)
     while True:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        if np.mean(_least_power_offsets(c_mag, mid, order) ** 2) <= power:
+        _least_power_offsets(c_mag, mid, k, offsets, scratch)
+        if np.add.reduce(np.multiply(offsets, offsets, out=scratch)) / order <= power:
             lo = mid
         else:
             hi = mid
     return RaySearchResult(
-        min_distance=h_mag * lo, offsets=_least_power_offsets(c_mag, lo, order)
+        min_distance=h_mag * lo,
+        offsets=_least_power_offsets(c_mag, lo, k, offsets, scratch),
     )
 
 

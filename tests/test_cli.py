@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,11 +18,19 @@ CONFIG = {
 }
 
 
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
 def run_cli(*args, **kwargs):
+    # The child does not see conftest's sys.path insert, so it gets the
+    # checkout's src first on PYTHONPATH, and the suite runs uninstalled.
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": _SRC + os.pathsep + path if path else _SRC}
     return subprocess.run(
         [sys.executable, "-m", "loamsim", *args],
         capture_output=True,
         text=True,
+        env=env,
         **kwargs,
     )
 

@@ -89,14 +89,14 @@ def test_least_power_matches_all_sign_patterns():
     # isotonic fit of y_k = -s_k*c - k*d.
     rng = np.random.default_rng(41)
     for order in range(2, 8):
-        k = np.arange(order)
+        k = np.arange(order, dtype=float)
         for trial in range(25):
             c = 0.0 if trial == 0 else float(rng.uniform(0.0, 3.0))
             d = float(rng.uniform(0.01, 2.0))
             patterns = itertools.product((1.0, -1.0), repeat=order)
             ys = [-np.array(s) * c - k * d for s in patterns]
             expected = min(np.mean((y - _isotonic_max_min(y)) ** 2) for y in ys)
-            found = np.mean(_least_power_offsets(c, d, order) ** 2)
+            found = np.mean(_least_power_offsets(c, d, k, np.empty(order), np.empty(order)) ** 2)
             assert found == pytest.approx(expected, rel=1e-12)
 
 
@@ -191,3 +191,122 @@ def test_free_search_bound_holds_by_brute_force():
         x0 = rho0 * np.exp(1j * rng.uniform(0, 2 * math.pi, n))
         x1 = rho1 * np.exp(1j * rng.uniform(0, 2 * math.pi, n))
         assert _pair_gaps(h, b, x0, x1).max() <= bound
+
+
+def _reference_ray_search(state):
+    """Reference bisection on fresh arrays each step (np.cumsum, np.mean)."""
+
+    def offsets_at(c_mag, spacing, order):
+        y = c_mag - spacing * np.arange(order)
+        return y - max(np.cumsum(y)[-1] / order, 0.0)
+
+    order, power = state.order, state.power
+    h_mag = abs(state.h)
+    c_mag = abs(state.b) / h_mag
+    lo, hi = 0.0, 2.0 * math.sqrt(order * power) / (order - 1)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if np.mean(offsets_at(c_mag, mid, order) ** 2) <= power:
+            lo = mid
+        else:
+            hi = mid
+    return h_mag * lo, offsets_at(c_mag, lo, order)
+
+
+def _assert_ray_search_bitwise(state):
+    found = oracle_ray_search(state)
+    min_distance, offsets = _reference_ray_search(state)
+    assert found.min_distance == min_distance
+    assert np.array_equal(found.offsets, offsets)
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5, 8, 16, 64])
+@pytest.mark.parametrize("regime", ["lofree", "weak", "strong"])
+def test_ray_search_bitwise_equals_reference_loop(regime, order):
+    # The buffered bisection must reproduce the reference loop bit for bit:
+    # the same sequential pooled sum and the same pairwise mean of squares.
+    rng = np.random.default_rng([59, order, len(regime)])
+    for _ in range(6):
+        power = float(rng.uniform(0.2, 5.0))
+        h = complex(rng.uniform(0.25, 2.0) * np.exp(1j * rng.uniform(0, 2 * math.pi)))
+        ratio = {"lofree": 0.0, "weak": rng.uniform(0.02, 0.98), "strong": rng.uniform(1.0, 5.0)}
+        b_mag = math.sqrt(ratio[regime] * strong_reference_threshold(power, order, abs(h)))
+        b = complex(b_mag * np.exp(1j * rng.uniform(0, 2 * math.pi)))
+        _assert_ray_search_bitwise(ChannelState(h=h, b=b, power=power, order=order))
+
+
+@pytest.mark.parametrize(
+    "h,b,power,order",
+    [
+        # |b|^2 exactly at the regime threshold 3P(M-1)|h|^2/(M+1).
+        (1.0, 1.0, 1.0, 2),
+        (1.0, 3.0, 5.0, 4),
+        (1.0, 1.5, 1.0, 7),
+        # b = 0.
+        (0.6 - 0.8j, 0.0, 1.0, 5),
+        (1.0, 0.0, 1.0, 64),
+        # The ends of the power range, weak, strong and LO-free.
+        (0.3 + 0.4j, 1e-51 + 2e-51j, 1e-100, 8),
+        (1.0, 1e-50, 1e-100, 64),
+        (2.0 - 1.0j, 3e50 - 1e50j, 1e100, 4),
+        (1.0, 0.0, 1e100, 16),
+    ],
+)
+def test_ray_search_bitwise_equals_reference_loop_edges(h, b, power, order):
+    _assert_ray_search_bitwise(ChannelState(h=h, b=b, power=power, order=order))
+
+
+def _min_level_gaps(h, b, alphabets):
+    levels = np.sort(np.abs(h * alphabets + b), axis=-1)
+    return np.diff(levels, axis=-1).min(axis=-1)
+
+
+def _within_budget(alphabets, power):
+    mean = np.mean(np.abs(alphabets) ** 2, axis=-1, keepdims=True)
+    return alphabets * np.sqrt(np.minimum(1.0, power / mean))
+
+
+@pytest.mark.parametrize("order", [3, 4, 5])
+def test_no_alphabet_beats_the_ray_by_brute_force(order):
+    # Reference for the collinearity lemma at M >= 3: 20,000 random complex
+    # alphabets scaled to the budget, then 32 hill-climbs of 400 steps from
+    # the best of them. None may beat the ray optimum, the climbs must come
+    # close to it, and the lemma's map onto the line through 0 and w = -b/h
+    # must keep every level while not raising the power.
+    rng = np.random.default_rng([67, order])
+    for ratio in (0.0, 0.4, 1.0, 3.0):
+        power = float(rng.uniform(0.5, 2.0))
+        h = complex(rng.uniform(0.25, 2.0) * np.exp(1j * rng.uniform(0, 2 * math.pi)))
+        b_mag = math.sqrt(ratio * strong_reference_threshold(power, order, abs(h)))
+        b = complex(b_mag * np.exp(1j * rng.uniform(0, 2 * math.pi)))
+        ray = oracle_ray_search(ChannelState(h=h, b=b, power=power, order=order)).min_distance
+        bound = ray * (1.0 + 1e-9)
+
+        x = rng.normal(size=(20_000, order)) + 1j * rng.normal(size=(20_000, order))
+        x *= np.sqrt(power / np.mean(np.abs(x) ** 2, axis=-1, keepdims=True))
+        gaps = _min_level_gaps(h, b, x)
+        assert gaps.max() <= bound
+
+        best = np.argsort(gaps)[-32:]
+        x, gaps = x[best], gaps[best]
+        step = 0.2 * math.sqrt(power)
+        for _ in range(400):
+            noise = rng.normal(size=x.shape) + 1j * rng.normal(size=x.shape)
+            trial = _within_budget(x + step * noise, power)
+            trial_gaps = _min_level_gaps(h, b, trial)
+            better = trial_gaps > gaps
+            x[better], gaps[better] = trial[better], trial_gaps[better]
+            step *= 0.99
+        assert gaps.max() <= bound
+        assert gaps.max() >= 0.9 * ray
+
+        w = -b / h
+        unit = w / abs(w) if w else 1.0
+        on_line = w - np.abs(x - w) * unit
+        scale = abs(b) + abs(h) * math.sqrt(order * power)
+        np.testing.assert_allclose(
+            np.abs(h * on_line + b), np.abs(h * x + b), rtol=1e-12, atol=1e-12 * scale
+        )
+        assert np.all(np.abs(on_line) <= np.abs(x) * (1.0 + 1e-12))
