@@ -17,7 +17,6 @@ from . import __version__
 from .channel import ChannelState, effective_min_distance
 from .constellations import (
     SCHEMES,
-    constellation_to_json,
     design_loam,
     design_to_json,
     mean_power,
@@ -61,7 +60,9 @@ def _cmd_design(args, parser: argparse.ArgumentParser) -> int:
                 raise ValueError(f"LOAM's receive levels round together at b = {b!r}")
             text = design_to_json(design)
         else:
-            text = constellation_to_json(gen(args.power, args.order), h, b)
+            design = gen(args.power, args.order)
+            design.magnitudes = np.abs(h * design.points + b)
+            text = design_to_json(design)
     except ValueError as exc:
         print(f"design failed: {exc}", file=sys.stderr)
         return 1

@@ -18,7 +18,6 @@ starting at zero.
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import enum
 import math
 from dataclasses import dataclass
@@ -38,7 +37,6 @@ __all__ = [
     "gen_qam",
     "mean_power",
     "design_to_json",
-    "constellation_to_json",
 ]
 
 # |b| below this fraction of sqrt(P)*|h| counts as "no reference at all".
@@ -90,13 +88,16 @@ def strong_reference_threshold(power: float, order: int, h_mag: float) -> float:
     return 3.0 * power * (order - 1) * h_mag**2 / (order + 1)
 
 
-def _strong_reference(b_mag, h_mag, power: float, order: int):
-    """Strong/weak regime test on |b|^2; boundary equality counts as strong.
+def _classify_reference(b_mag, h_mag, power: float, order: int):
+    """(lo_free, strong) for magnitudes |b| and |h|; neither means weak.
 
-    Takes Python floats or, elementwise, NumPy arrays of magnitudes.
+    LO-free wins over the test on |b|^2, whose boundary equality counts as
+    strong. Takes Python floats or, elementwise, NumPy arrays.
     """
+    lo_free_cut = _LO_FREE_RTOL * math.sqrt(power) * h_mag
     threshold = strong_reference_threshold(power, order, h_mag)
-    return b_mag**2 >= threshold * (1.0 - _BOUNDARY_RTOL)
+    strong = (b_mag > lo_free_cut) & (b_mag**2 >= threshold * (1.0 - _BOUNDARY_RTOL))
+    return b_mag <= lo_free_cut, strong
 
 
 def _check_budget(power: float, order: int) -> None:
@@ -115,13 +116,26 @@ def spacing_strong(power: float, order: int) -> float:
 def _spacing_root(c_mag, power: float, order: int, sqrt=math.sqrt):
     """Largest root d of (1/M) * sum_{i=0}^{M-1} (c_mag - i*d)^2 = P.
 
-    With sqrt=np.sqrt it works elementwise on an array of c_mag, whose
-    discriminants the caller guarantees to be non-negative.
+    With sqrt=np.sqrt it works elementwise on an array of c_mag.
     """
     a = (order - 1) * (2 * order - 1) / 6.0
     lin = c_mag * (order - 1)
     disc = lin**2 - 4.0 * a * (c_mag**2 - power)
     return (lin + sqrt(disc)) / (2.0 * a)
+
+
+def _loam_layout(strong: bool, c_mag, power: float, order: int, sqrt=math.sqrt):
+    """(d, u0) of one regime: symbol i sits at u0 - i*d on the ray toward the
+    null point, at distance c_mag. Strong centers the points on the origin;
+    weak puts the first on the null point (level zero), and LO-free is weak
+    at c_mag = 0. c_mag is a float or, with sqrt=np.sqrt, an array.
+    """
+    if strong:
+        d = spacing_strong(power, order)
+        return d, (order - 1) * d / 2.0
+    # Weak means c_mag^2 < 3P(M-1)/(M+1) < 2P(2M-1)/(M+1), so the
+    # discriminant is positive and the root d > 0.
+    return _spacing_root(c_mag, power, order, sqrt), c_mag
 
 
 def design_loam(state: ChannelState) -> Constellation:
@@ -133,35 +147,24 @@ def design_loam(state: ChannelState) -> Constellation:
     """
     order = state.order
     power = state.power
-    b_mag = abs(state.b)
-    h_mag = abs(state.h)
     idx = np.arange(order, dtype=float)
 
-    if b_mag <= _LO_FREE_RTOL * math.sqrt(power) * h_mag:
-        # Unipolar ramp from zero along the positive real axis (any phase is
-        # equivalent by rotation; 0 is the convention).
+    lo_free, strong = _classify_reference(abs(state.b), abs(state.h), power, order)
+    if lo_free:
+        # The weak layout at c = 0 aimed along -1: +i*d on the positive real
+        # axis (any phase is equivalent by rotation; 0 is the convention).
         regime = Regime.LO_FREE
         ray_phase = 0.0
-        d = _spacing_root(0.0, power, order)
+        d, _ = _loam_layout(False, 0.0, power, order)
         rotated = idx * d
     else:
         null_point = -state.b / state.h
         ray_phase = cmath.phase(null_point)
-        c_mag = abs(null_point)
-        if _strong_reference(b_mag, h_mag, power, order):
-            regime = Regime.STRONG_REFERENCE
-            d = spacing_strong(power, order)
-            # Centered on the origin, enumerated from the c side outward so
-            # that magnitudes |h*x + b| ascend with the index.
-            rotated = (order - 1) * d / 2.0 - idx * d
-        else:
-            regime = Regime.WEAK_REFERENCE
-            # Weak means c_mag^2 < 3P(M-1)/(M+1) < 2P(2M-1)/(M+1), so the
-            # discriminant is positive and the root d > 0.
-            d = _spacing_root(c_mag, power, order)
-            # First point sits exactly on the null point (received amplitude
-            # zero); the rest walk inward through the origin.
-            rotated = c_mag - idx * d
+        regime = Regime.STRONG_REFERENCE if strong else Regime.WEAK_REFERENCE
+        # Enumerated from the c side outward, so that magnitudes |h*x + b|
+        # ascend with the index.
+        d, u0 = _loam_layout(strong, abs(null_point), power, order)
+        rotated = u0 - idx * d
 
     points = np.exp(1j * ray_phase) * rotated
     magnitudes = np.abs(state.h * points + state.b)
@@ -245,10 +248,3 @@ def design_to_json(constellation: Constellation) -> str:
         "magnitudes": constellation.magnitudes,
     }
     return "{\n" + ",\n".join(f"  {_member(k, v)}" for k, v in members.items()) + "\n}\n"
-
-
-def constellation_to_json(constellation: Constellation, h, b) -> str:
-    """Serialize a baseline constellation with its magnitudes under (h, b);
-    a fixed alphabet's regime, ray_phase and spacing are null."""
-    magnitudes = np.abs(complex(h) * constellation.points + complex(b))
-    return design_to_json(dataclasses.replace(constellation, magnitudes=magnitudes))

@@ -26,12 +26,11 @@ import numpy as np
 from .channel import ChannelState, _square, snr_db_to_sigma2
 from .constellations import (
     SCHEMES,
+    _classify_reference,
     _fmt,
+    _loam_layout,
     _member,
-    _spacing_root,
-    _strong_reference,
     design_loam,
-    spacing_strong,
     strong_reference_threshold,
 )
 from .detector import _acceptance_intervals, build_detector
@@ -395,20 +394,23 @@ def _loam_fading_design(h, b, power, order):
     """design_loam for every trial of a fading block at once.
 
     Returns (ray, c_mag, rho0, d), one entry per trial: symbol i sits at
-    ray * (c_mag - rho0 - i*d) on the ray through the null point -b/h.
+    ray * (c_mag - rho0 - i*d) on the ray through the null point -b/h. Regime
+    and layout are design_loam's, row by row: LO-free rows take c_mag = 0 and
+    ray -1, so symbol i sits at +i*d.
     """
     ray = -b / h
     c_mag = np.abs(ray)
-    ray /= np.where(c_mag > 0, c_mag, 1.0)
-    ray[~(c_mag > 0)] = 1.0
+    lo_free, strong = _classify_reference(np.abs(b), np.abs(h), power, order)
+    c_mag[lo_free] = 0.0
+    np.divide(ray, c_mag, out=ray, where=~lo_free)
+    ray[lo_free] = -1.0
 
-    strong = _strong_reference(np.abs(b), np.abs(h), power, order)
-    d = np.full(h.shape, spacing_strong(power, order))
-    # Weak rows have c_mag^2 < 3P(M-1)/(M+1) < 2P(2M-1)/(M+1), the largest
-    # c_mag^2 at which the inward discriminant is still non-negative.
-    d[~strong] = _spacing_root(c_mag[~strong], power, order, sqrt=np.sqrt)
-    # Strong: centered on the origin. Weak: the first level anchors at zero.
-    rho0 = np.where(strong, c_mag - (order - 1) * d / 2.0, 0.0)
+    d = np.empty(h.shape)
+    rho0 = np.empty(h.shape)
+    for rows, is_strong in ((strong, True), (~strong, False)):
+        c_rows = c_mag[rows]
+        d[rows], u0 = _loam_layout(is_strong, c_rows, power, order, sqrt=np.sqrt)
+        rho0[rows] = c_rows - u0
     return ray, c_mag, rho0, d
 
 

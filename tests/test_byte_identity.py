@@ -4,7 +4,9 @@ Every sweep artifact of the demo configs, a grid of `design` documents and a
 few `verify` reports must hash to the literals below. A change that alters a
 published number on purpose updates the literal and says so in CHANGES.md.
 The hashes hold only for the numpy pinned in pyproject.toml's test extra,
-whose Philox and normal streams every sweep draws from.
+whose Philox and normal streams every sweep draws from, and only on an x86
+CPU with AVX2: numpy picks its complex multiply (FMA), complex abs and exp
+loops at run time, and at its SSE4.2 baseline 22 of the 52 literals change.
 """
 
 import contextlib
@@ -89,12 +91,22 @@ def _numpy_pin() -> str:
     return next(req.split("==")[1] for req in extra if req.startswith("numpy=="))
 
 
-def _require_pinned_numpy():
-    pin = _numpy_pin()
-    assert np.__version__ == pin, (
-        f"the artifact hashes hold for numpy=={pin} (pyproject.toml test extra); "
-        f"numpy {np.__version__} is installed"
+def _scope() -> str:
+    """Where the literals hold, and the numpy and SIMD extensions found here."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+        found = " ".join(f for f in __cpu_dispatch__ if __cpu_features__[f]) or "none"
+    except ImportError:
+        found = "unknown"
+    return (
+        f"the artifact hashes hold for numpy=={_numpy_pin()} (pyproject.toml test extra) "
+        f"on an x86 CPU with AVX2; here numpy {np.__version__} dispatches to the SIMD "
+        f"extensions [{found}] (np.show_runtime())"
     )
+
+
+def _require_pinned_numpy():
+    assert np.__version__ == _numpy_pin(), _scope()
 
 
 def _sha256(text: str) -> str:
@@ -142,7 +154,9 @@ def _check(artifacts, expected):
     _require_pinned_numpy()
     got = {name: _sha256(text) for name, text in artifacts}
     changed = sorted(name for name in got if got[name] != expected.get(name))
-    assert not changed and got.keys() == expected.keys(), f"artifacts changed: {changed}"
+    assert not changed and got.keys() == expected.keys(), (
+        f"artifacts changed: {changed}; {_scope()}"
+    )
 
 
 def test_sweep_artifacts_unchanged():

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 CONFIG = {
@@ -53,6 +54,17 @@ def test_design_strong_reference_json():
     assert list(doc.keys()) == [
         "scheme", "order", "regime", "ray_phase", "spacing", "points", "magnitudes",
     ]
+
+
+def test_design_baseline_json():
+    result = run_cli("design", "--h-re", "1", "--power", "1", "--order", "4", "--scheme", "psk")
+    assert result.returncode == 0
+    doc = json.loads(result.stdout)
+    assert doc["scheme"] == "PSK"
+    assert doc["regime"] is None
+    assert doc["ray_phase"] is None
+    assert doc["spacing"] is None
+    assert np.allclose(doc["magnitudes"], 1.0)
 
 
 def test_design_rejects_order_one():
@@ -164,9 +176,10 @@ def test_design_reports_overflow_without_traceback(flags):
     assert result.stdout == ""
 
 
-@pytest.mark.parametrize("scheme,b_re", [("loam", "1e8"), ("pam", "1e20")])
+@pytest.mark.parametrize("scheme,b_re", [("loam", "1e8"), ("loam", "1e11"), ("pam", "1e20")])
 def test_design_refuses_only_folded_loam(scheme, b_re):
-    """LOAM at b = 1e8 keeps its levels apart; a baseline prints its fold."""
+    """LOAM at b = 1e8 keeps its levels apart, and so at b = 1e11, where its
+    gaps are 9e-12 of the levels; a baseline prints its fold."""
     result = run_cli("design", "--h-re", "1", "--power", "1", "--order", "4",
                      "--b-re", b_re, "--scheme", scheme)
     assert result.returncode == 0

@@ -7,7 +7,6 @@ import pytest
 from loamsim import (
     ChannelState,
     Regime,
-    constellation_to_json,
     design_loam,
     design_to_json,
     effective_min_distance,
@@ -15,10 +14,12 @@ from loamsim import (
     gen_psk,
     gen_qam,
     mean_power,
+    oracle_ray_search,
     spacing_strong,
     strong_reference_threshold,
 )
 from loamsim.constellations import _spacing_root
+from loamsim.simulate import _loam_fading_design
 
 RNG = np.random.default_rng(20240501)
 
@@ -122,6 +123,30 @@ def test_classify_regime_boundary_is_strong():
     threshold = strong_reference_threshold(1.0, 4, 1.0)
     state = ChannelState(h=1.0, b=math.sqrt(threshold), power=1.0, order=4)
     assert design_loam(state).regime is Regime.STRONG_REFERENCE
+
+
+@pytest.mark.parametrize("order", [4, 16, 64])
+@pytest.mark.parametrize("edge", ["below_threshold", "above_lo_free_cut"])
+def test_weak_just_inside_its_edges_matches_ray_oracle(edge, order):
+    """1e-8 (relative) inside either edge, both designers design weak.
+
+    There the regime test's slack decides: a slack of 1e-6 on either edge
+    would design strong or LO-free and miss the ray oracle by about 1e-8.
+    """
+    h = 0.8 + 0.3j
+    if edge == "below_threshold":
+        b = math.sqrt(strong_reference_threshold(1.0, order, abs(h)) * (1.0 - 1e-8))
+    else:
+        b = 1e-8 * abs(h)
+    state = ChannelState(h=h, b=b, power=1.0, order=order)
+    design = design_loam(state)
+    assert design.regime is Regime.WEAK_REFERENCE
+    found = oracle_ray_search(state).min_distance
+    assert abs(effective_min_distance(design.points, h, b) - found) <= 1e-12 * found
+    # The fading kernel's weak layout: first level at zero, the same spacing.
+    _, _, rho0, d = _loam_fading_design(np.array([h]), np.array([complex(b)]), 1.0, order)
+    assert rho0[0] == 0.0
+    assert d[0] == pytest.approx(design.spacing, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -343,12 +368,3 @@ def test_design_json_fields_and_precision():
     assert len(doc["points"]) == 4 and len(doc["points"][0]) == 2
     # 17 significant digits survive a round-trip exactly
     assert doc["spacing"] == out.spacing
-
-
-def test_constellation_json_for_baseline():
-    doc = json.loads(constellation_to_json(gen_psk(1.0, 4), 1.0, 0.0))
-    assert doc["scheme"] == "PSK"
-    assert doc["regime"] is None
-    assert doc["ray_phase"] is None
-    assert doc["spacing"] is None
-    assert np.allclose(doc["magnitudes"], 1.0)

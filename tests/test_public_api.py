@@ -19,7 +19,6 @@ PUBLIC_NAMES = [
     "ZeroReference",
     "__version__",
     "build_detector",
-    "constellation_to_json",
     "design_loam",
     "design_to_json",
     "detect",

@@ -374,6 +374,8 @@ def test_rayleigh_block_matches_full_matrix_kernel(reference, order):
         (FixedReference(b=0.8 - 0.3j), {Regime.WEAK_REFERENCE, Regime.STRONG_REFERENCE}),
         (ThresholdRatioReference(ratio=1.0 / 3.0), {Regime.WEAK_REFERENCE}),
         (ThresholdRatioReference(ratio=2.0), {Regime.STRONG_REFERENCE}),
+        (ZeroReference(), {Regime.LO_FREE}),
+        (FixedReference(b=1e-14), {Regime.LO_FREE}),
     ],
 )
 def test_rayleigh_loam_block_matches_scalar_path(reference, regimes, order, snr):
@@ -381,8 +383,8 @@ def test_rayleigh_loam_block_matches_scalar_path(reference, regimes, order, snr)
 
     Each trial goes through ChannelState, design_loam, build_detector and
     detect. A trial whose z lies within 1e-9 (relative) of a threshold may go
-    either way. b = 0 is left out: there the kernel sends -i*d where
-    design_loam sends +i*d, two equally valid LO-free designs.
+    either way. LO-free trials, b = 0 and b below the LO-free cutoff, send
+    symbol i to +i*d in both paths.
     """
     n, sigma2 = 1500, 10.0 ** (-snr / 10.0)
     got = _rayleigh_block(_block_rng(4, 0, order, 0), n, sigma2, {}, order, 1.0, None, reference)
