@@ -29,6 +29,12 @@ done
 step "tier-1 tests"
 python -m pytest -q --continue-on-collection-errors
 
+# The sweep hashes and kernels hold at numpy's baseline SIMD level (no AVX2),
+# unlike the design and verify hashes. The variable acts on this process only.
+step "sweep engine at numpy's baseline SIMD level"
+NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR" python -m pytest -q \
+    tests/test_byte_identity.py::test_sweep_artifacts_unchanged tests/test_simulate.py
+
 step "benchmark self-test"
 python -m pytest bench/test_bench.py
 

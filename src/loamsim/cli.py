@@ -159,6 +159,8 @@ def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
         parser.error(f"--order must be >= 2, got {args.order}")
     if args.scenarios < 1:
         parser.error(f"--scenarios must be >= 1, got {args.scenarios}")
+    if args.seed < 0:
+        parser.error(f"--seed must be >= 0, got {args.seed}")
     all_ok = True
     for name, ok, detail in _verify_checks(args.order, args.scenarios, args.seed):
         tag = "PASS" if ok else "FAIL"

@@ -32,16 +32,14 @@ class DetectorTable:
 
     Attributes:
         magnitudes: receive levels sorted ascending.
-        symbol_index: original constellation index occupying each sorted slot.
         thresholds: midpoints between consecutive magnitudes (length M-1).
         ambiguous: True when two magnitudes coincide within tolerance.
-        decision_index: symbol returned for each slot; equals symbol_index
-            (and is the same array when nothing is tied) except inside tied
-            groups, which collapse to their lowest original index.
+        decision_index: symbol returned for each slot: the constellation
+            index occupying it, except inside tied groups, which collapse to
+            their lowest original index.
     """
 
     magnitudes: np.ndarray
-    symbol_index: np.ndarray
     thresholds: np.ndarray
     ambiguous: bool
     decision_index: np.ndarray
@@ -76,7 +74,6 @@ def build_detector(points, h, b) -> DetectorTable:
 
     return DetectorTable(
         magnitudes=magnitudes,
-        symbol_index=order,
         thresholds=thresholds,
         ambiguous=ambiguous,
         decision_index=decision,

@@ -23,7 +23,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .channel import ChannelState, _square, snr_db_to_sigma2
+from .channel import ChannelState, snr_db_to_sigma2
 from .constellations import (
     SCHEMES,
     _classify_reference,
@@ -163,10 +163,7 @@ class SweepConfig:
         object.__setattr__(self, "schemes", tuple(self.schemes))
         object.__setattr__(self, "snr_grid_db", tuple(self.snr_grid_db))
 
-    def validate(self) -> None:
-        self._scenario()
-
-    def _scenario(self) -> ChannelState:
+    def validate(self) -> ChannelState:
         """Check the config; return its scenario, |h| = 1 standing in under fading."""
         for i, scheme in enumerate(self.schemes):
             if not isinstance(scheme, str) or scheme not in SCHEMES:
@@ -196,20 +193,17 @@ class SweepConfig:
             mode = getattr(self, key)
             if type(mode) not in _MODES[key].values():
                 raise ConfigError(key, f"unknown mode {mode!r}")
-        fixed = isinstance(self.channel_mode, FixedChannel)
-        h = self.channel_mode.h if fixed else 1.0
+        h = self.channel_mode.h if isinstance(self.channel_mode, FixedChannel) else 1.0
         _check_state("channel_mode.h", h=h)
-        ratio = getattr(self.reference_mode, "ratio", 0)
-        if not (_number(ratio) and ratio >= 0):
-            raise ConfigError("reference_mode.ratio", f"must be a number >= 0, got {ratio!r}")
-        b_key = "b" if hasattr(self.reference_mode, "b") else "ratio"
-        b_path = f"reference_mode.{b_key}"
-        b = _resolve_fixed_reference(self.reference_mode, h, self.power, self.order)
+        if isinstance(self.reference_mode, ThresholdRatioReference):
+            b_path, ratio = "reference_mode.ratio", self.reference_mode.ratio
+            if not (_number(ratio) and ratio >= 0):
+                raise ConfigError(b_path, f"must be a number >= 0, got {ratio!r}")
+            threshold = strong_reference_threshold(self.power, self.order, abs(h))
+            b = complex(math.sqrt(ratio * threshold))
+        else:
+            b_path, b = "reference_mode.b", self.reference_mode.b
         _check_state(b_path, b=b)
-        # The fading kernel divides by c = |b|/|h|, so a nonzero b, unlike a
-        # ChannelState's, must also keep its square a normal float.
-        if b != 0 and _square(b) < 1e-150:
-            raise ConfigError(b_path, f"must give b = 0 or |b|^2 >= 1e-150, got b = {b!r}")
         state = ChannelState(h=h, b=b, power=self.power, order=self.order)
         # Levels that tie in floating point would fold LOAM's design. Under
         # fading the |h| = 1 stand-in is checked, for `fixed_value` too, whose
@@ -242,13 +236,6 @@ class SerPoint:
     errors: int
     ser: float
     ci95_halfwidth: float
-
-
-def _scheme_points(scheme: str, state: ChannelState) -> np.ndarray:
-    gen = SCHEMES[scheme]
-    if gen is None:
-        return design_loam(state).points
-    return gen(state.power, state.order).points
 
 
 def theoretical_ser_asymptotic(delta: float, sigma2: float, order: int) -> float:
@@ -326,13 +313,6 @@ def _fixed_block(rng, n, sigma2, buffers, mu, lo, hi):
     return int(np.count_nonzero(_outside(z, sym_lo, sym_hi, buffers)))
 
 
-def _resolve_fixed_reference(reference_mode, h: complex, power: float, order: int) -> complex:
-    if isinstance(reference_mode, ThresholdRatioReference):
-        ratio = reference_mode.ratio
-        return complex(math.sqrt(ratio * strong_reference_threshold(power, order, abs(h))))
-    return reference_mode.b
-
-
 def _rayleigh_block(rng, n, sigma2, buffers, order, power, points, reference_mode):
     """Errors among n fading trials; points is None for LOAM, redesigned per trial."""
     symbols = rng.integers(0, order, size=n)
@@ -341,9 +321,7 @@ def _rayleigh_block(rng, n, sigma2, buffers, order, power, points, reference_mod
 
     b = _scratch(buffers, "b", n, complex)
     if isinstance(reference_mode, ThresholdRatioReference):
-        # A zero-magnitude fade is a measure-zero event but would divide below.
         h_mag = np.abs(h, out=_scratch(buffers, "h_mag", n))
-        np.maximum(h_mag, 1e-300, out=h_mag)
         mag = np.sqrt(reference_mode.ratio * strong_reference_threshold(power, order, h_mag))
         # uniform has no out=; uniform(0, 2*pi) is 0 + 2*pi*u for the same u.
         phase = rng.random(out=_scratch(buffers, "phase", n))
@@ -466,25 +444,27 @@ def run_sweep(config: SweepConfig, workers: int | None = None) -> list[SerPoint]
 
     Deterministic given the config seed, independent of `workers`.
     """
-    state = config._scenario()
-    order, power = config.order, config.power
+    state = config.validate()
+    h, b, power, order = state.h, state.b, state.power, state.order
     trials = config.trials_per_point
+    fixed = isinstance(config.channel_mode, FixedChannel)
 
     kernels = {}  # scheme: block kernel taking (rng, n, sigma2, buffers)
-    if isinstance(config.channel_mode, FixedChannel):
-        h, b = state.h, state.b
-        for scheme in set(config.schemes):
-            points = _scheme_points(scheme, state)
+    for scheme in set(config.schemes):
+        gen = SCHEMES[scheme]
+        if gen is not None:
+            points = gen(power, order).points
+        else:  # LOAM, designed for the fixed channel or per fading trial
+            points = design_loam(state).points if fixed else None
+        if fixed:
             lo, hi = _acceptance_intervals(build_detector(points, h, b))
             kernels[scheme] = functools.partial(_fixed_block, mu=h * points + b, lo=lo, hi=hi)
-    else:
-        for scheme in set(config.schemes):
-            gen = SCHEMES[scheme]
+        else:
             kernels[scheme] = functools.partial(
                 _rayleigh_block,
                 order=order,
                 power=power,
-                points=None if gen is None else gen(power, order).points,
+                points=points,
                 reference_mode=config.reference_mode,
             )
 

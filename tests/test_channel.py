@@ -17,7 +17,7 @@ from loamsim import (
 def _levels(points, h, b):
     """Transformed magnitudes |h*x + b| as the detector computes them, in point order."""
     table = build_detector(points, h, b)
-    return table.magnitudes[np.argsort(table.symbol_index)]
+    return table.magnitudes[np.argsort(table.decision_index)]
 
 
 def test_transformed_magnitude_reduces_to_reference():

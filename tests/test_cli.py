@@ -273,6 +273,8 @@ def test_verify_deterministic():
         # Rejected before the (missing) config is read, which would exit 1.
         (("sweep", "missing.json", "--bogus"), "--bogus"),
         (("design", "--h-re", "1", "--power", "1", "--order", "4", "--bogus", "3"), "--bogus"),
+        # Rejected before numpy's generator refuses it with a traceback.
+        (("verify", "--seed", "-1"), "--seed"),
     ],
 )
 def test_verify_rejects_bad_arguments(args, flag):

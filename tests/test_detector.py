@@ -33,7 +33,7 @@ def test_table_of_strong_design():
     assert np.allclose(table.thresholds, [1.1055728090000841, 2.0, 2.894427190999916], rtol=1e-9)
     assert not table.ambiguous
     # design indices ascend with magnitude, so the sorted slots are identity
-    assert np.array_equal(table.symbol_index, np.arange(4))
+    assert np.array_equal(table.decision_index, np.arange(4))
 
 
 def test_threshold_midpoint_identity():
@@ -72,7 +72,6 @@ def test_separate_tied_runs_collapse_to_their_lowest_index():
     # higher index first, around an untied level.
     table = build_detector([1 + 1e-13, 0.5, 1.0, 2.0, 2 - 2e-13], 1.0, 0.0)
     assert table.ambiguous
-    assert table.symbol_index.tolist() == [1, 2, 0, 4, 3]
     assert table.decision_index.tolist() == [1, 0, 0, 3, 3]
 
 

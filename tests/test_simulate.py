@@ -38,7 +38,6 @@ from loamsim.simulate import (
     _loam_fading_design,
     _loam_fading_outside,
     _rayleigh_block,
-    _scheme_points,
 )
 
 
@@ -255,8 +254,7 @@ def _rayleigh_draws(rng, n, sigma2, order, power, reference_mode):
     symbols = rng.integers(0, order, size=n)
     h = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2.0)
     if isinstance(reference_mode, ThresholdRatioReference):
-        h_mag = np.maximum(np.abs(h), 1e-300)
-        mag = np.sqrt(reference_mode.ratio * strong_reference_threshold(power, order, h_mag))
+        mag = np.sqrt(reference_mode.ratio * strong_reference_threshold(power, order, np.abs(h)))
         b = mag * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=n))
     else:
         b = np.full(n, complex(reference_mode.b))
@@ -283,7 +281,8 @@ def test_fixed_block_matches_searchsorted_detection(scheme, ratio):
     order = 16
     b = math.sqrt(ratio * strong_reference_threshold(1.0, order, abs(h)))
     state = ChannelState(h=h, b=b, power=1.0, order=order)
-    points = _scheme_points(scheme, state)
+    gen = SCHEMES[scheme]
+    points = design_loam(state).points if gen is None else gen(1.0, order).points
     table = build_detector(points, h, b)
     lo, hi = _acceptance_intervals(table)
     mu = h * points + b
@@ -555,6 +554,32 @@ def test_tie_check_applies_only_to_loam(fading):
                         reference_mode=reference)
         )
         assert len(run_sweep(config, workers=1)) == 6
+
+
+@pytest.mark.parametrize("fading", [False, True])
+@pytest.mark.parametrize(
+    "reference,counterpart",
+    [
+        ({"mode": "fixed_value", "b": [1e-200, 0]}, {"mode": "zero"}),
+        ({"mode": "fixed_value", "b": [1e-160, 1e-170]}, {"mode": "zero"}),
+        ({"mode": "fixed_value", "b": [5e-324, 0]}, {"mode": "zero"}),
+        # Both draw a reference phase per fading trial, so their streams align.
+        ({"mode": "threshold_ratio", "ratio": 1e-300}, {"mode": "threshold_ratio", "ratio": 0}),
+    ],
+)
+def test_reference_far_below_lo_free_cut_counts_as_none(fading, reference, counterpart):
+    """A nonzero b whose square underflows, subnormal b included, runs as b = 0 does."""
+    h = [math.cos(math.pi / 3), math.sin(math.pi / 3)]
+    channel = {"mode": "rayleigh_per_trial"} if fading else {"mode": "fixed_channel", "h": h}
+
+    def errors(reference_mode):
+        doc = _config_doc(schemes=sorted(SCHEMES), snr_grid_db=[10, 20, 30],
+                          trials_per_point=20_000, seed=1, channel_mode=channel,
+                          reference_mode=reference_mode)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return [p.errors for p in run_sweep(sweep_config_from_dict(doc), workers=1)]
+
+    assert errors(reference) == errors(counterpart)
 
 
 # Finite floats >= 0: hypothesis's own mix of edge values, and magnitudes
