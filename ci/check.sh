@@ -2,7 +2,15 @@
 # Every check of the CI workflow, in the workflow's order. Run it from any
 # directory as `bash ci/check.sh`; it exits nonzero at the first step that
 # fails, a benchmark run whose verdict is not "correct": true included.
+# With --mutants it then runs the mutant catalog, ci/mutants.py, which takes
+# a tier-1 run per row.
 set -euo pipefail
+mutants=0
+case "${1:-}" in
+    "") ;;
+    --mutants) mutants=1 ;;
+    *) echo "usage: bash ci/check.sh [--mutants]" >&2; exit 2 ;;
+esac
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
@@ -57,5 +65,10 @@ python demos/design_verification.py
 python demos/constellation_gallery.py
 python demos/ser_vs_snr.py
 python demos/gain_gap_study.py
+
+if [ "$mutants" = 1 ]; then
+    step "mutant catalog"
+    python ci/mutants.py
+fi
 
 step "all checks passed"

@@ -33,11 +33,23 @@ from .simulate import (
 )
 
 
+class _OutputError(Exception):
+    """An output path that cannot be written; main reports it and exits 1."""
+
+
+def _open_output(path: str, mode: str = "w"):
+    """The file at path, opened for writing text."""
+    try:
+        return open(path, mode, encoding="utf-8")
+    except OSError as exc:
+        raise _OutputError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _write_artifact(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
     else:
-        with open(out_path, "w", encoding="utf-8") as fh:
+        with _open_output(out_path) as fh:
             fh.write(text)
 
 
@@ -84,14 +96,18 @@ def _cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
         return 1
     try:
         config = sweep_config_from_dict(doc)
-        points = run_sweep(config, workers=args.threads)
     except ConfigError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 1
+    # A bad output path fails before the sweep runs, not after it. Append
+    # mode leaves an existing file as it is until the results are written.
+    for path in (args.out, args.json_out):
+        if path is not None:
+            _open_output(path, "a").close()
+    points = run_sweep(config, workers=args.threads)
     _write_artifact(ser_points_to_csv(points), args.out)
     if args.json_out is not None:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            fh.write(ser_points_to_json(points))
+        _write_artifact(ser_points_to_json(points), args.json_out)
     return 0
 
 
@@ -218,7 +234,11 @@ def main(argv: list[str] | None = None) -> int:
     # through its own parser, so they print its usage.
     if extra:
         args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
-    return args.run(args, args.parser)
+    try:
+        return args.run(args, args.parser)
+    except _OutputError as exc:
+        print(exc, file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 
@@ -262,14 +262,30 @@ def theoretical_ser_asymptotic(delta: float, sigma2: float, order: int) -> float
 # --------------------------------------------------------------------------
 #
 # Every kernel takes `buffers`, the work arrays of the calling worker thread
-# for one sweep, and writes its draws, observations, detection bounds and the
-# fading baselines' trials x M chunks there with the out= forms of the same
-# operations. Per block it allocates only the drawn symbols and, under
-# fading, the per-trial LOAM design and reference magnitudes.
+# for one sweep, and writes its draws, observations, detection bounds and
+# detection work there with the out= forms of the same operations. Per block
+# it allocates only the drawn symbols and, under fading, the per-trial LOAM
+# design, the reference magnitudes and the trials that go back to the
+# trials x M matrix.
+#
+# Under fading, PAM and PSK detect each trial from a few candidate levels
+# found in closed form (_candidate_detect). QAM, and the trials whose
+# candidates cannot be certified, take the trials x M matrix
+# (_matrix_errors). Both paths compute a level as np.abs(h*x + b), with h the
+# first operand of np.multiply: numpy's SIMD complex product is not
+# symmetric in its operands, and in `h * points.take(s)` numpy may write the
+# product into the large temporary, which swaps them. So the detected
+# symbols, and the artifacts, do not depend on the path.
 
-# Elements of one row chunk of the fading baselines' trials x M detection:
-# bounds that path's memory per worker whatever the order M.
+# Levels either fading detection path holds at once, in row chunks: bounds
+# its memory per worker whatever the order M.
 _CHUNK = 1 << 15
+
+# Candidate levels per trial of the PAM and PSK fading detection.
+_CANDIDATES = 4
+# A trial's candidates are certified when its least gap between adjacent
+# levels exceeds this multiple of the largest magnitude in its arithmetic.
+_CERTIFY_EPS = 64.0 * np.finfo(float).eps
 
 
 def _block_rng(seed: int, scheme_idx: int, snr_idx: int, block_idx: int) -> np.random.Generator:
@@ -313,8 +329,12 @@ def _fixed_block(rng, n, sigma2, buffers, mu, lo, hi):
     return int(np.count_nonzero(_outside(z, sym_lo, sym_hi, buffers)))
 
 
-def _rayleigh_block(rng, n, sigma2, buffers, order, power, points, reference_mode):
-    """Errors among n fading trials; points is None for LOAM, redesigned per trial."""
+def _rayleigh_block(rng, n, sigma2, buffers, order, power, points, reference_mode, walk=None):
+    """Errors among n fading trials; points is None for LOAM, redesigned per trial.
+
+    walk is the baseline alphabet's _Walk (see _walk_of); without one, every
+    trial is detected on the trials x M matrix.
+    """
     symbols = rng.integers(0, order, size=n)
     h = _complex_normal(rng, n, buffers, "h")
     np.divide(h, math.sqrt(2.0), out=h)
@@ -335,33 +355,214 @@ def _rayleigh_block(rng, n, sigma2, buffers, order, power, points, reference_mod
 
     if points is None:
         return _loam_fading_errors(symbols, h, b, noise, power, order, buffers)
-    return _baseline_fading_errors(symbols, h, b, noise, points, buffers)
+    return _baseline_fading_errors(symbols, h, b, noise, points, buffers, walk)
 
 
-def _baseline_fading_errors(symbols, h, b, noise, points, buffers) -> int:
-    """Nearest-level detection over each trial's levels |h*x + b|, in row chunks.
+def _baseline_fading_errors(symbols, h, b, noise, points, buffers, walk=None) -> int:
+    """Nearest-level detection over each trial's levels |h*x + b|.
+
+    With a walk (PAM and PSK), each trial is detected from four candidate
+    levels, and the trials they cannot certify go to the trials x M matrix
+    that QAM uses throughout. Either path holds _CHUNK levels at a time.
+    """
+    n = symbols.size
+    rx = points.take(symbols, out=_scratch(buffers, "rx", n, complex), mode="clip")
+    np.add(np.multiply(h, rx, out=rx), b, out=rx)
+    z = np.abs(np.add(rx, noise, out=rx), out=_scratch(buffers, "z", n))
+    # At b = 0 the PSK levels all tie, so no PSK trial would be certified.
+    if walk is None or (walk.trace is _circle_walk and not b.any()):
+        return _matrix_errors(symbols, h, b, z, points, buffers)
+    errors = 0
+    rows = _CHUNK // _CANDIDATES
+    for start in range(0, n, rows):
+        part = slice(start, min(start + rows, n))
+        detected, certified = _candidate_detect(h[part], b[part], z[part], points, walk, buffers)
+        m = part.stop - start
+        wrong = np.not_equal(detected, symbols[part], out=_scratch(buffers, "wrong", m, bool))
+        errors += int(np.count_nonzero(np.logical_and(wrong, certified, out=wrong)))
+        if not certified.all():
+            rest = start + np.flatnonzero(~certified)
+            errors += _matrix_errors(symbols[rest], h[rest], b[rest], z[rest], points, buffers)
+    return errors
+
+
+def _candidate_detect(h, b, z, points, walk, buffers):
+    """Per trial, the symbol that argmin over four candidate levels detects,
+    and whether the trial is certified: no other level lies as near z.
+
+    The walk gives each trial a V of levels over positions 0..M-1 (see
+    _line_walk and _circle_walk), falling to its vertex at `turn` and rising
+    after it, with crossings of z at `fall` and `rise`. The candidates are
+    the two positions that bracket each crossing within its run; a crossing
+    beyond an end of its run is bracketed by that end. Every other level of
+    a run lies beyond one of its candidates, away from z. The certificate
+    holds when the closed-form least gap between adjacent levels of a run
+    exceeds the rounding of the level arithmetic, and the computed
+    candidate levels lie on the sides of z that their brackets say.
+
+    The detected symbols are floats. The per-trial work arrays reuse the
+    buffers of the normal draws (n_re, n_im) and of the LOAM kernel (h_mag,
+    j, lo, hi, offset), which are free here, so a worker that runs both
+    kernels holds them once.
+    """
+    n, order = z.size, points.size
+    with np.errstate(all="ignore"):  # a non-finite w or r fails the certificate
+        # The observation's buffer is free once z is taken.
+        w = np.divide(b, h, out=_scratch(buffers, "rx", n, complex))
+        r = np.abs(h, out=_scratch(buffers, "h_mag", n))
+        np.divide(z, r, out=r)
+        start, turn, fall, rise, certified = walk.trace(points, w, r, buffers)
+
+    # Integer positions; fmax and fmin map NaN to their bound. The falling run
+    # ends at turn, so fall, fall + 1 bracket its crossing; the rising run
+    # starts at turn + 1, so rise, rise + 1 bracket its crossing.
+    last = order - 1.0
+    np.floor(np.fmin(np.fmax(turn, -1.0, out=turn), last, out=turn), out=turn)
+    np.floor(np.fmin(np.fmax(fall, -1.0, out=fall), turn, out=fall), out=fall)
+    np.floor(np.fmin(np.fmax(rise, turn, out=rise), last, out=rise), out=rise)
+    # Which candidates lie in their run and so carry a side to check.
+    inside = _rows(buffers, "inside", n, bool)
+    np.greater_equal(fall, 0.0, out=inside[0])
+    np.less(fall, turn, out=inside[1])
+    np.less(turn, rise, out=inside[2])
+    np.less(rise, last, out=inside[3])
+
+    # Each candidate's entry in the walk's table.
+    pos = _rows(buffers, "pos", n, np.intp)
+    np.add(fall, start, out=pos[0], casting="unsafe")
+    np.add(pos[0], 1, out=pos[1])
+    np.add(rise, start, out=pos[2], casting="unsafe")
+    np.add(pos[2], 1, out=pos[3])
+    # Levels as the matrix computes them: np.abs of h*x + b, h the first operand.
+    x = walk.table.take(pos, out=_rows(buffers, "mu", n, complex), mode="clip")
+    np.add(np.multiply(h, x, out=x), b, out=x)
+    dist = np.abs(x, out=_rows(buffers, "level", n))
+    np.subtract(z, dist, out=dist)
+    # An outer candidate lies at or above z, an inner one at or below it.
+    miss = _scratch(buffers, "miss", n, bool)
+    for row, exists, misses in zip(dist, inside, (np.greater, np.less, np.less, np.greater)):
+        np.logical_and(misses(row, 0.0, out=miss), exists, out=miss)
+        np.logical_and(certified, np.logical_not(miss, out=miss), out=certified)
+
+    # argmin's first-index rule: the lowest symbol among the nearest
+    # candidates, the least label + M * (farther than the nearest).
+    np.abs(dist, out=dist)
+    nearest = np.minimum.reduce(dist, axis=0, out=r)
+    key = np.multiply(np.not_equal(dist, nearest, out=inside), float(order), out=dist)
+    np.add(key, walk.labels.take(pos, out=pos, mode="clip"), out=key)
+    return np.minimum.reduce(key, axis=0, out=r), certified
+
+
+def _rows(buffers: dict, name: str, n: int, dtype=np.float64) -> np.ndarray:
+    """A (candidates, n) view of the worker's buffer `name`."""
+    return _scratch(buffers, name, _CANDIDATES * n, dtype).reshape(_CANDIDATES, n)
+
+
+def _line_walk(points, w, r, buffers):
+    """PAM's levels |h|*|x + w| along the real axis, a V over the index.
+
+    Returns (start, turn, fall, rise, certified): the table entry of
+    position 0, the vertex and the crossings of r = z/|h| in index units, and the
+    certificate. Levels adjacent on one side of the vertex differ by at
+    least d^2 / (4*(2d + |Im w|)) in units of |h|.
+    """
+    n, order = w.size, points.size
+    first = points[0].real
+    d = (points[-1].real - first) / (order - 1)
+    im = np.abs(w.imag, out=_scratch(buffers, "n_re", n))
+    turn = np.add(w.real, first, out=_scratch(buffers, "j", n))
+    np.multiply(turn, -1.0 / d, out=turn)
+    # The crossings lie sqrt(r^2 - Im(w)^2) / d on either side of the vertex.
+    rise = np.subtract(r, im, out=_scratch(buffers, "hi", n))
+    fall = np.add(r, im, out=_scratch(buffers, "lo", n))
+    np.sqrt(np.maximum(np.multiply(rise, fall, out=rise), 0.0, out=rise), out=rise)
+    np.multiply(rise, 1.0 / d, out=rise)
+    np.subtract(turn, rise, out=fall)
+    np.add(turn, rise, out=rise)
+    # gap > _CERTIFY_EPS * (x_max + |w| + r), multiplied out, with
+    # |Re w| + |Im w| standing in for |w|.
+    size = np.add(np.abs(w.real, out=_scratch(buffers, "offset", n)), r, out=r)
+    np.add(size, im, out=size)
+    np.add(size, max(-first, points[-1].real), out=size)
+    np.multiply(size, np.add(im, 2.0 * d, out=im), out=size)
+    certified = np.less(size, d * d / (4.0 * _CERTIFY_EPS),
+                        out=_scratch(buffers, "certified", n, bool))
+    return 0.0, turn, fall, rise, certified
+
+
+def _circle_walk(points, w, r, buffers):
+    """PSK's levels |h|*|x + w|, which peak at the phase of w and bottom out
+    opposite it: a V over the positions counted from the first index at or
+    past the peak.
+
+    Returns what _line_walk does, with a start per trial into the points
+    repeated three times. Levels adjacent on one side of the vertex differ
+    by at least sqrt(P) |w| sin^2(pi/M) / (sqrt(P) + |w|) in units of |h|.
+    """
+    n, order = w.size, points.size
+    radius = abs(points[0])
+    scale = order / (2.0 * math.pi)
+    w_mag = np.abs(w, out=_scratch(buffers, "n_re", n))
+    peak = np.arctan2(w.imag, w.real, out=_scratch(buffers, "j", n))
+    np.multiply(peak, scale, out=peak)
+    start = np.ceil(peak, out=_scratch(buffers, "n_im", n))
+    np.fmax(start, -order / 2.0, out=start)  # a NaN phase gives a finite start
+    np.subtract(peak, start, out=peak)  # the peak's position, in (-1, 0]
+    np.add(start, order, out=start)
+    # The crossings lie arccos(q) * M/(2 pi) from the peak, where
+    # q = (r^2 - P - |w|^2) / (2 sqrt(P) |w|).
+    rise = np.multiply(w_mag, w_mag, out=_scratch(buffers, "hi", n))
+    np.add(rise, radius * radius, out=rise)
+    fall = np.multiply(r, r, out=_scratch(buffers, "lo", n))
+    np.subtract(fall, rise, out=fall)
+    np.divide(fall, np.multiply(w_mag, 2.0 * radius, out=rise), out=fall)
+    np.arccos(np.clip(fall, -1.0, 1.0, out=fall), out=fall)
+    np.multiply(fall, scale, out=fall)
+    np.add(np.subtract(peak, fall, out=rise), float(order), out=rise)
+    np.add(fall, peak, out=fall)
+    turn = np.add(peak, order / 2.0, out=peak)
+    # gap > _CERTIFY_EPS * (sqrt(P) + |w| + r), multiplied out.
+    size = np.add(w_mag, radius, out=_scratch(buffers, "offset", n))
+    np.multiply(size, np.add(size, r, out=r), out=size)
+    np.multiply(w_mag, radius * math.sin(math.pi / order) ** 2 / _CERTIFY_EPS, out=w_mag)
+    certified = np.less(size, w_mag, out=_scratch(buffers, "certified", n, bool))
+    return start, turn, fall, rise, certified
+
+
+class _Walk(NamedTuple):
+    """How _candidate_detect walks the levels of one alphabet."""
+
+    trace: Callable  # _line_walk or _circle_walk
+    table: np.ndarray  # the points, repeated so that every start + p indexes them
+    labels: np.ndarray  # the symbol of each table entry
+
+
+def _walk_of(alphabet) -> _Walk | None:
+    """The candidate walk of a PAM or PSK alphabet; None for the others."""
+    labels = np.arange(alphabet.points.size)
+    if alphabet.scheme == "PAM":
+        return _Walk(_line_walk, alphabet.points, labels)
+    if alphabet.scheme == "PSK":
+        return _Walk(_circle_walk, np.tile(alphabet.points, 3), np.tile(labels, 3))
+    return None
+
+
+def _matrix_errors(symbols, h, b, z, points, buffers) -> int:
+    """Errors of nearest-level detection of z over all M levels, in row chunks.
 
     Each row's operations are those of the whole trials x M matrix, so the
     detected symbols do not depend on the chunk size.
     """
     order = points.size
     rows = max(1, _CHUNK // order)
-    key = ("offsets", order)  # start of each row in a flattened chunk
-    offsets = buffers.get(key)
-    if offsets is None:
-        offsets = buffers[key] = np.arange(0, rows * order, order)
     errors = 0
     for start in range(0, symbols.size, rows):
         part = slice(start, min(start + rows, symbols.size))
         m = part.stop - start
         mu = _scratch(buffers, "mu", m * order, complex).reshape(m, order)
-        np.multiply(h[part, None], points[None, :], out=mu)
-        np.add(mu, b[part, None], out=mu)
-        dist = np.abs(mu, out=_scratch(buffers, "dist", m * order).reshape(m, order))
-        flat = np.add(offsets[:m], symbols[part], out=_scratch(buffers, "flat", m, np.intp))
-        rx = mu.reshape(-1).take(flat, out=_scratch(buffers, "rx", m, complex), mode="clip")
-        z = np.abs(np.add(rx, noise[part], out=rx), out=_scratch(buffers, "z", m))
-        np.abs(np.subtract(z[:, None], dist, out=dist), out=dist)
+        np.add(np.multiply(h[part, None], points, out=mu), b[part, None], out=mu)
+        dist = np.abs(mu, out=_scratch(buffers, "level", m * order).reshape(m, order))
+        np.abs(np.subtract(z[part, None], dist, out=dist), out=dist)
         detected = np.argmin(dist, axis=1, out=_scratch(buffers, "detected", m, np.intp))
         wrong = np.not_equal(detected, symbols[part], out=_scratch(buffers, "wrong", m, bool))
         errors += int(np.count_nonzero(wrong))
@@ -442,8 +643,11 @@ def _default_workers() -> int:
 def run_sweep(config: SweepConfig, workers: int | None = None) -> list[SerPoint]:
     """Simulate every (scheme, SNR) point of the sweep.
 
-    Deterministic given the config seed, independent of `workers`.
+    Deterministic given the config seed, independent of `workers`: the
+    number of threads, one per CPU this process may run on by default.
     """
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers!r}")
     state = config.validate()
     h, b, power, order = state.h, state.b, state.power, state.order
     trials = config.trials_per_point
@@ -453,9 +657,10 @@ def run_sweep(config: SweepConfig, workers: int | None = None) -> list[SerPoint]
     for scheme in set(config.schemes):
         gen = SCHEMES[scheme]
         if gen is not None:
-            points = gen(power, order).points
+            alphabet = gen(power, order)
         else:  # LOAM, designed for the fixed channel or per fading trial
-            points = design_loam(state).points if fixed else None
+            alphabet = design_loam(state) if fixed else None
+        points = None if alphabet is None else alphabet.points
         if fixed:
             lo, hi = _acceptance_intervals(build_detector(points, h, b))
             kernels[scheme] = functools.partial(_fixed_block, mu=h * points + b, lo=lo, hi=hi)
@@ -466,6 +671,7 @@ def run_sweep(config: SweepConfig, workers: int | None = None) -> list[SerPoint]
                 power=power,
                 points=points,
                 reference_mode=config.reference_mode,
+                walk=None if alphabet is None else _walk_of(alphabet),
             )
 
     n_blocks = (trials + _BLOCK - 1) // _BLOCK
@@ -487,7 +693,7 @@ def run_sweep(config: SweepConfig, workers: int | None = None) -> list[SerPoint]
         return si, ni, kernels[scheme](rng, n, sigma2, worker.buffers)
 
     errors = np.zeros((len(config.schemes), len(config.snr_grid_db)), dtype=np.int64)
-    max_workers = workers if workers else _default_workers()
+    max_workers = _default_workers() if workers is None else workers
     # One worker runs in the caller's thread, so a caller's np.errstate reaches
     # the kernels; it does not reach a pool thread.
     if max_workers <= 1:

@@ -233,6 +233,25 @@ def test_sweep_rejects_threads_below_one(tmp_path, threads):
     assert result.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "args",
+    [("design", "--h-re", "1", "--power", "1", "--order", "4", "--out", "{missing}/x.json"),
+     ("sweep", "{config}", "--json-out", "{missing}/y.json"),
+     ("sweep", "{config}", "--out", "{missing}/y.csv")],
+)
+def test_unwritable_output_exits_one_before_the_work(tmp_path, args):
+    """No traceback; the sweep checks its outputs before it runs, so stdout stays empty."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(CONFIG))
+    missing = tmp_path / "missing"
+    result = run_cli(*(a.format(config=cfg, missing=missing) for a in args))
+    assert result.returncode == 1
+    assert f"cannot write {missing}/" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+    assert not missing.exists()
+
+
 def test_sweep_rejects_bad_json(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{not json")

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import operator
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,13 +32,16 @@ from loamsim import (
 from loamsim.constellations import SCHEMES
 from loamsim.detector import _acceptance_intervals
 from loamsim.simulate import (
+    _BLOCK,
     _CHUNK,
     _baseline_fading_errors,
+    _candidate_detect,
     _block_rng,
     _fixed_block,
     _loam_fading_design,
     _loam_fading_outside,
     _rayleigh_block,
+    _walk_of,
 )
 
 
@@ -324,18 +328,20 @@ def test_loam_fading_interval_matches_midpoint_count(order):
 
 @pytest.mark.parametrize("scheme,order", [("pam", 4), ("qam", 16), ("psk", 64)])
 def test_baseline_fading_chunks_match_one_shot_detection(scheme, order):
-    """Row chunks detect as the whole matrix does, over several chunks and a remainder."""
+    """Chunks detect as the whole matrix does, over several chunks and a remainder."""
     rng = np.random.default_rng(order)
     n = 2 * (_CHUNK // order) + 37
     h = (rng.normal(size=n) + 1j * rng.normal(size=n)) / math.sqrt(2.0)
     b = 0.4 * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, n))
     symbols = rng.integers(0, order, size=n)
-    points = SCHEMES[scheme](1.0, order).points
+    alphabet = SCHEMES[scheme](1.0, order)
+    points, walk = alphabet.points, _walk_of(alphabet)
     buffers = {}
     for sigma in (0.3, 0.03, 0.003):
         noise = sigma * (rng.normal(size=n) + 1j * rng.normal(size=n))
         for m in (n, n - 37, 37):
-            got = _baseline_fading_errors(symbols[:m], h[:m], b[:m], noise[:m], points, buffers)
+            got = _baseline_fading_errors(symbols[:m], h[:m], b[:m], noise[:m], points, buffers,
+                                          walk)
             want, _ = _one_shot_baseline_errors(symbols[:m], h[:m], b[:m], noise[:m], points)
             assert got == want
 
@@ -350,19 +356,67 @@ def test_rayleigh_block_matches_full_matrix_kernel(reference, order):
     """Same draws, observations and errors as the kernel allocating every temporary."""
     buffers = {}
     for si, scheme in enumerate(sorted(SCHEMES)):
-        for block, (n, snr) in enumerate([(3001, 10.0), (1000, 30.0)]):
+        alphabet = None if scheme == "loam" else SCHEMES[scheme](1.0, order)
+        for block, (n, snr) in enumerate([(3001, 10.0), (1000, 30.0), (16384, 20.0)]):
             sigma2 = 10.0 ** (-snr / 10.0)
             got = _rayleigh_block(
                 _block_rng(9, si, order, block), n, sigma2, buffers, order, 1.0,
-                None if scheme == "loam" else SCHEMES[scheme](1.0, order).points, reference,
+                None if alphabet is None else alphabet.points, reference,
+                None if alphabet is None else _walk_of(alphabet),
             )
             want, z = _full_matrix_rayleigh_errors(
                 _block_rng(9, si, order, block), n, sigma2, order, 1.0, scheme, reference
             )
             assert got == want
-            # The z buffer holds the whole block for LOAM, the last row chunk otherwise.
-            last = n if scheme == "loam" else (n - 1) % (_CHUNK // order) + 1
-            np.testing.assert_array_equal(buffers["z"][:last], z[n - last:])
+            np.testing.assert_array_equal(buffers["z"][:n], z)
+
+
+@pytest.mark.parametrize("n", [4096, 16384])
+@pytest.mark.parametrize("order", [2, 4, 16, 64])
+@pytest.mark.parametrize("scheme", ["pam", "psk"])
+def test_candidate_detection_matches_full_matrix_argmin(scheme, order, n):
+    """Every certified trial detects what argmin over the whole matrix does.
+
+    Noise spans sigma = 1 down to 1e-6, and one trial in eight has |h| near
+    the underflow edge. The kernel's error count and observations equal the
+    matrix's at every reference. A b at which the levels round together
+    leaves no trial certified; b = 0 ties PAM's levels in pairs and PSK's
+    all together.
+    """
+    rng = np.random.default_rng([order, n])
+    alphabet = SCHEMES[scheme](1.0, order)
+    points, walk = alphabet.points, _walk_of(alphabet)
+    tiny = np.arange(n) % 8 == 0
+    # (reference, share of the trials with |h| not tiny that must be certified)
+    cases = [(ZeroReference(), None), (FixedReference(b=0.8 - 0.3j), 0.999),
+             (FixedReference(b=1e17), 0.0)]
+    cases += [(ThresholdRatioReference(ratio=r), None if r == 0.0 else 0.999)
+              for r in (0.0, 1.0 / 3.0, 1.0, 2.0)]
+    for reference, share in cases:
+        symbols = rng.integers(0, order, size=n)
+        h = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2.0)
+        h[tiny] *= 1e-300
+        if isinstance(reference, ThresholdRatioReference):
+            mag = np.sqrt(reference.ratio * strong_reference_threshold(1.0, order, np.abs(h)))
+            b = mag * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, n))
+        else:
+            b = np.full(n, complex(reference.b))
+        sigma = 10.0 ** rng.uniform(-6.0, 0.0, n)
+        noise = sigma * (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2.0)
+        mu = h[:, None] * points[None, :] + b[:, None]
+        z = np.abs(mu[np.arange(n), symbols] + noise)
+        want = np.argmin(np.abs(z[:, None] - np.abs(mu)), axis=1)
+        buffers = {}
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            errors = _baseline_fading_errors(symbols, h, b, noise, points, buffers, walk)
+            detected, certified = _candidate_detect(h, b, z, points, walk, {})
+        assert errors == np.count_nonzero(want != symbols)
+        np.testing.assert_array_equal(buffers["z"][:n], z)
+        np.testing.assert_array_equal(detected[certified], want[certified])
+        if share == 0.0:
+            assert not certified.any()
+        elif share is not None:
+            assert np.mean(certified[~tiny]) >= share
 
 
 # SNRs at which 15-42 % of the trials err, so that a changed decision rule shows.
@@ -406,6 +460,36 @@ def test_rayleigh_deterministic_across_workers():
     kwargs = dict(schemes=["loam", "psk"], snrs=(10.0,), trials=25_000, seed=3,
                   channel=RayleighPerTrial(), reference=ThresholdRatioReference(ratio=1.0))
     assert sweep(workers=1, **kwargs) == sweep(workers=6, **kwargs)
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_run_sweep_rejects_workers_below_one(workers):
+    with pytest.raises(ValueError, match="workers"):
+        sweep(["pam"], trials=1000, workers=workers)
+
+
+# tracemalloc peak (MiB) of one fading block of _BLOCK trials at M = 64 with
+# fresh buffers, under the kernels that detected every baseline on the trials
+# x M matrix in row chunks: 2.53 MiB for each baseline, 3.90 MiB for LOAM.
+_MATRIX_KERNEL_PEAK_MIB = {"loam": 3.90, "pam": 2.53, "qam": 2.53, "psk": 2.53}
+# Room for the candidate rows and the whole-block observations.
+_PEAK_SLACK_MIB = 1.0
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+def test_fading_block_memory_peak(scheme):
+    """A fading block's working memory stays within the slack of the matrix kernels'."""
+    alphabet = None if scheme == "loam" else SCHEMES[scheme](1.0, 64)
+    points = None if alphabet is None else alphabet.points
+    walk = None if alphabet is None else _walk_of(alphabet)
+    tracemalloc.start()
+    try:
+        _rayleigh_block(_block_rng(1, 0, 0, 0), _BLOCK, 1e-3, {}, 64, 1.0, points,
+                        ThresholdRatioReference(ratio=1.0 / 3.0), walk)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak <= _MATRIX_KERNEL_PEAK_MIB[scheme] + _PEAK_SLACK_MIB
 
 
 # ---------------------------------------------------------------------------
